@@ -16,10 +16,11 @@ import multiprocessing
 import resource
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from importlib import resources as importlib_resources
 
 from phenocloud.errors import PhenocloudError
+from phenocloud.scan import WorkerFailure, burn, fan_out
 
 
 class BenchError(PhenocloudError):
@@ -38,9 +39,6 @@ class TimingRecord:
         if self.user_s < 0 or self.sys_s < 0:
             raise ValueError("CPU times must be non-negative")
 
-    def to_dict(self):
-        return {"real_s": self.real_s, "user_s": self.user_s, "sys_s": self.sys_s}
-
 
 @dataclass(frozen=True)
 class MachineLabel:
@@ -48,14 +46,6 @@ class MachineLabel:
     cores: int
     hyperthreading: bool
     ram_gb: float
-
-    def to_dict(self):
-        return {
-            "size_class": self.size_class,
-            "cores": self.cores,
-            "hyperthreading": self.hyperthreading,
-            "ram_gb": self.ram_gb,
-        }
 
 
 @dataclass
@@ -66,15 +56,17 @@ class BenchRun:
     records: list
     label: str = ""
     failed: bool = False
+    errors: tuple = ()  # {"index", "reason"} of each process that raised or died
 
     def to_dict(self):
         return {
             "label": self.label,
-            "machine": self.machine.to_dict(),
+            "machine": asdict(self.machine),
             "phase": self.phase,
             "processes": self.processes,
             "failed": self.failed,
-            "records": [r.to_dict() for r in self.records],
+            "errors": list(self.errors),
+            "records": [asdict(r) for r in self.records],
         }
 
     def to_json(self):
@@ -89,6 +81,7 @@ class BenchRun:
             records=[TimingRecord(**r) for r in raw["records"]],
             label=raw.get("label", ""),
             failed=raw.get("failed", False),
+            errors=tuple(raw.get("errors", ())),
         )
 
 
@@ -152,34 +145,23 @@ class Workload:
         raise ValueError(f"unknown workload spec {spec!r}")
 
 
-def _child(workload: Workload, barrier, queue, index):
-    barrier.wait()
+def _child(workload: Workload):
+    """One timed copy of the workload; returns (exit status, TimingRecord)."""
     start = time.perf_counter()
     if workload.command is not None:
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         proc = subprocess.run(list(workload.command), capture_output=True)
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         exit_status = proc.returncode
-        user = after.ru_utime - before.ru_utime
-        sys_ = after.ru_stime - before.ru_stime
     else:
-        from phenocloud.scan import _burn
-
         before = resource.getrusage(resource.RUSAGE_SELF)
-        _burn(workload.work_units)
+        burn(workload.work_units)
         after = resource.getrusage(resource.RUSAGE_SELF)
         exit_status = 0
-        user = after.ru_utime - before.ru_utime
-        sys_ = after.ru_stime - before.ru_stime
-    real = time.perf_counter() - start
-    queue.put(
-        {
-            "index": index,
-            "exit_status": exit_status,
-            "real_s": max(real, 1e-9),
-            "user_s": max(user, 0.0),
-            "sys_s": max(sys_, 0.0),
-        }
+    return exit_status, TimingRecord(
+        real_s=max(time.perf_counter() - start, 1e-9),
+        user_s=max(after.ru_utime - before.ru_utime, 0.0),
+        sys_s=max(after.ru_stime - before.ru_stime, 0.0),
     )
 
 
@@ -191,8 +173,10 @@ def run_concurrent(
 ) -> BenchRun:
     """Run P copies of the workload simultaneously and time each one.
 
-    All P processes are spawned first and released together by a barrier,
-    so the measured interval excludes staggered startup.
+    All P processes are started first and released together by a barrier,
+    so the measured interval excludes staggered startup.  A copy that
+    raises or dies has no record but an entry in errors, and the run is
+    marked failed.
     """
     if processes < 1:
         raise BenchError("process count must be >= 1")
@@ -203,31 +187,16 @@ def run_concurrent(
             hyperthreading=False,
             ram_gb=0.0,
         )
-    barrier = multiprocessing.Barrier(processes + 1)
-    queue = multiprocessing.Queue()
-    children = [
-        multiprocessing.Process(target=_child, args=(workload, barrier, queue, i))
-        for i in range(processes)
-    ]
-    for child in children:
-        child.start()
-    barrier.wait()
-    results = [queue.get() for _ in range(processes)]
-    for child in children:
-        child.join()
-
-    results.sort(key=lambda r: r["index"])
-    records = [
-        TimingRecord(real_s=r["real_s"], user_s=r["user_s"], sys_s=r["sys_s"])
-        for r in results
-    ]
-    failed = any(r["exit_status"] != 0 for r in results)
+    results = fan_out(_child, [(workload,)] * processes)
+    failures = [asdict(r) for r in results if isinstance(r, WorkerFailure)]
+    finished = [r for r in results if not isinstance(r, WorkerFailure)]
     return BenchRun(
         machine=machine,
         phase=phase,
         processes=processes,
-        records=records,
-        failed=failed,
+        records=[record for _, record in finished],
+        failed=bool(failures) or any(status != 0 for status, _ in finished),
+        errors=tuple(failures),
     )
 
 
@@ -271,21 +240,18 @@ class BenchReport:
     sys_pct_max: float
     baseline_label: str | None = None
     degradation_pct_vs_baseline: float | None = None
-    speedup: list = field(default_factory=list)
 
     def to_dict(self):
         out = {
             "run": self.run_label,
             "phase": self.phase,
-            "max": self.max_record.to_dict(),
-            "min": self.min_record.to_dict(),
+            "max": asdict(self.max_record),
+            "min": asdict(self.min_record),
             "sys_pct": round(self.sys_pct_max, 4),
         }
         if self.baseline_label is not None:
             out["baseline"] = self.baseline_label
             out["degradation_pct"] = round(self.degradation_pct_vs_baseline, 4)
-        if self.speedup:
-            out["speedup"] = [[p, round(s, 4)] for p, s in self.speedup]
         return out
 
 

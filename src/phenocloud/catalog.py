@@ -74,9 +74,6 @@ class Catalog:
     def __eq__(self, other):
         return isinstance(other, Catalog) and self._entries == other._entries
 
-    def names(self):
-        return list(self._entries)
-
 
 def _parse_version(name, version_key, raw) -> VersionSpec:
     if not isinstance(raw, dict):

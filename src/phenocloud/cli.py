@@ -28,8 +28,6 @@ from phenocloud.contextualize import (
 from phenocloud.errors import PhenocloudError
 from phenocloud.resolver import resolve
 
-log = logging.getLogger("phenocloud")
-
 CONFIG_ENV = "PHENO_CONFIG"
 CONFIG_KEYS = (
     "catalog",
@@ -38,7 +36,6 @@ CONFIG_KEYS = (
     "identity_config",
     "principal_store",
     "signing_key",
-    "verbosity",
 )
 
 
@@ -381,10 +378,7 @@ def dispatch(argv) -> int:
     try:
         config = load_global_config()
         return args.func(args, config)
-    except PhenocloudError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PhenocloudError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

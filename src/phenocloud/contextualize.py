@@ -249,16 +249,3 @@ class Contextualizer:
             duration_s=time.monotonic() - start,
             output=proc.stdout + proc.stderr,
         )
-
-
-def contextualize(
-    catalog: Catalog,
-    source: MetadataSource,
-    root: str,
-    scripts_dir: str,
-    dry_run: bool = False,
-) -> ExecutionReport:
-    """Fetch metadata, plan, download and install; stops at first failure."""
-    request = fetch_metadata(source)
-    ctx = Contextualizer(catalog, scripts_dir=scripts_dir, root=root)
-    return ctx.run(request, dry_run=dry_run)

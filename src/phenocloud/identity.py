@@ -31,8 +31,6 @@ class ConfigError(PhenocloudError):
 class Assertion:
     subject_dn: str
     vo: str | None = None
-    groups: tuple = ()
-    roles: tuple = ()
     not_before: float = 0.0
     not_after: float = float("inf")
 

@@ -10,10 +10,12 @@ per-point cost is near constant, so static shares need no balancing.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import subprocess
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -55,11 +57,15 @@ def _axis(lo, hi, steps):
     return [lo + k * (hi - lo) / (steps - 1) for k in range(steps)]
 
 
-def build_grid(grid: ScanGrid):
-    """All (ma, tanb) points, linearized as index = i_ma * steps + i_tb."""
-    ma_axis = _axis(grid.ma_min, grid.ma_max, grid.steps_per_axis)
-    tb_axis = _axis(grid.tb_min, grid.tb_max, grid.steps_per_axis)
-    return [(ma, tb) for ma in ma_axis for tb in tb_axis]
+def build_grid(grid: ScanGrid, lo: int = 0, hi: int | None = None):
+    """The (ma, tanb) points with linear index in [lo, hi), by default all.
+
+    The index is i_ma * steps + i_tb; no point outside the range is built.
+    """
+    steps = grid.steps_per_axis
+    ma_axis = _axis(grid.ma_min, grid.ma_max, steps)
+    tb_axis = _axis(grid.tb_min, grid.tb_max, steps)
+    return [(ma_axis[i // steps], tb_axis[i % steps]) for i in range(grid.n_points)[lo:hi]]
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ _BURN_CHUNK = 1 << 16
 _burn_buffer = None
 
 
-def _burn(work_units: int) -> float:
+def burn(work_units: int) -> float:
     """Spend work_units arithmetic operations; cost is uniform per call."""
     global _burn_buffer
     if _burn_buffer is None:
@@ -121,16 +127,12 @@ def builtin_kernel(ma: float, tanb: float, work_units: int = 0) -> str:
     if work_units < 0:
         raise ValueError("work_units must be >= 0")
     if work_units:
-        _burn(work_units)
+        burn(work_units)
     return classify(ma, tanb)
 
 
 def format_point(ma: float, tanb: float, status: str) -> str:
     return "%.6g %.6g %s\n" % (ma, tanb, status)
-
-
-def _evaluate_builtin(points, work_units):
-    return [format_point(ma, tb, builtin_kernel(ma, tb, work_units)) for ma, tb in points]
 
 
 def _evaluate_command(points, command, timeout_per_point):
@@ -145,7 +147,8 @@ def _evaluate_command(points, command, timeout_per_point):
         timeout=timeout,
     )
     if proc.returncode != 0:
-        raise ScanError(f"kernel command failed with exit {proc.returncode}: {proc.stderr}")
+        detail = f": {proc.stderr.strip()}" if proc.stderr.strip() else ""
+        raise ScanError(f"kernel command failed with exit {proc.returncode}{detail}")
     lines = proc.stdout.splitlines()
     if len(lines) != len(points):
         raise ScanError(
@@ -154,16 +157,76 @@ def _evaluate_command(points, command, timeout_per_point):
     return [line.rstrip("\n") + "\n" for line in lines]
 
 
-def _worker(grid_doc, part, kernel, work_units, command, timeout_per_point, out):
-    grid = ScanGrid(**grid_doc)
-    points = build_grid(grid)[part.lo:part.hi]
+@dataclass(frozen=True)
+class WorkerFailure:
+    index: int
+    reason: str  # one line
+
+
+def _report(index, target, args, barrier, conn):
+    with conn:
+        try:
+            barrier.wait()
+            conn.send(target(*args))
+        except Exception as exc:  # sent to the parent instead of printed
+            message = " ".join(str(exc).split())
+            name = type(exc).__name__
+            conn.send(WorkerFailure(index, f"{name}: {message}" if message else name))
+
+
+def fan_out(target, arg_tuples) -> list:
+    """Run target(*args) for every tuple, each in its own process.
+
+    All start behind one launch barrier.  Returns, in worker order, each
+    return value or a WorkerFailure; one that dies without reporting aborts
+    the barrier, so no sibling waits forever.  All are joined on return.
+    Targets and arguments must be module-level and picklable.
+    """
+    released = multiprocessing.Event()
+    barrier = multiprocessing.Barrier(len(arg_tuples), action=released.set)
+    procs, conns = [], []
+    try:
+        for index, args in enumerate(arg_tuples):
+            conn, sender = multiprocessing.Pipe(duplex=False)
+            conns.append(conn)
+            proc = multiprocessing.Process(
+                target=_report, args=(index, target, args, barrier, sender)
+            )
+            with sender:  # the worker alone holds it, so its death reads as EOF
+                proc.start()
+            procs.append(proc)
+        results = [None] * len(conns)
+        pending = {conn: index for index, conn in enumerate(conns)}
+        while pending:
+            for conn in wait(list(pending)):
+                index = pending.pop(conn)
+                try:
+                    results[index] = conn.recv()
+                except EOFError:
+                    if not released.is_set():  # once released, abort would break siblings
+                        barrier.abort()
+                    procs[index].join()
+                    reason = f"exited with code {procs[index].exitcode} before reporting"
+                    results[index] = WorkerFailure(index, reason)
+        return results
+    finally:
+        barrier.abort()  # frees workers still waiting if this call failed
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def _worker(grid, part, kernel, work_units, command, timeout_per_point, out):
+    points = build_grid(grid, part.lo, part.hi)
     if kernel == "builtin":
-        lines = _evaluate_builtin(points, work_units)
+        lines = [format_point(ma, tb, builtin_kernel(ma, tb, work_units)) for ma, tb in points]
     else:
         lines = _evaluate_command(points, command, timeout_per_point)
     part_path = f"{out}.part{part.worker_index}"
     with open(part_path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
+    return part_path
 
 
 def run_scan(
@@ -177,46 +240,40 @@ def run_scan(
 ) -> str:
     """Evaluate the full grid with `workers` processes and merge the parts.
 
-    On success the merged file is written to `out` and the partial files
-    are removed; on any worker failure the parts are kept for diagnosis.
+    On success the merged file replaces `out` in one step and the partial
+    files are removed.  On any worker failure `out` is removed and the
+    part files of the workers that succeeded are kept for diagnosis.
     """
     if kernel not in ("builtin", "command"):
         raise ValueError(f"unknown kernel {kernel!r}")
     if kernel == "command" and not command:
         raise ValueError("command kernel requires a command")
+    if os.path.exists(out) and not os.path.isfile(out):  # e.g. /dev/null: never replace it
+        raise ScanError(f"{out} exists and is not a regular file")
     parts = partition(grid.n_points, workers)
-    grid_doc = {
-        "ma_min": grid.ma_min,
-        "ma_max": grid.ma_max,
-        "tb_min": grid.tb_min,
-        "tb_max": grid.tb_max,
-        "steps_per_axis": grid.steps_per_axis,
-    }
-
-    procs = []
-    for part in parts:
-        p = multiprocessing.Process(
-            target=_worker,
-            args=(grid_doc, part, kernel, work_units, command, timeout_per_point, out),
-        )
-        p.start()
-        procs.append(p)
-    failed = []
-    for part, p in zip(parts, procs):
-        p.join()
-        if p.exitcode != 0:
-            failed.append(part.worker_index)
-    if failed:
-        raise ScanError(
-            f"workers {failed} failed; partial files kept next to {out}"
-        )
-
-    with open(out, "w", encoding="utf-8") as merged:
-        merged.write(HEADER)
-        for part in parts:
-            part_path = f"{out}.part{part.worker_index}"
-            with open(part_path, encoding="utf-8") as fh:
-                merged.write(fh.read())
-    for part in parts:
-        os.unlink(f"{out}.part{part.worker_index}")
+    tmp = f"{out}.tmp"
+    try:
+        args = [(grid, part, kernel, work_units, command, timeout_per_point, out) for part in parts]
+        part_paths = fan_out(_worker, args)
+        failures = [p for p in part_paths if isinstance(p, WorkerFailure)]
+        if failures:
+            kept = [p for p in part_paths if not isinstance(p, WorkerFailure)]
+            raise ScanError(
+                "; ".join(f"worker {f.index} failed: {f.reason}" for f in failures)
+                + (f"; partial files kept: {', '.join(kept)}" if kept else "")
+            )
+        with open(tmp, "w", encoding="utf-8") as merged:
+            merged.write(HEADER)
+            for part_path in part_paths:
+                with open(part_path, encoding="utf-8") as fh:
+                    merged.write(fh.read())
+        os.replace(tmp, out)
+    except BaseException:
+        # A failed scan leaves neither an earlier result nor a half merge.
+        for path in (out, tmp):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+        raise
+    for part_path in part_paths:
+        os.unlink(part_path)
     return out

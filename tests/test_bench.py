@@ -1,9 +1,12 @@
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
+import phenocloud
 from phenocloud.bench import (
     BenchError,
     BenchRun,
@@ -160,6 +163,24 @@ def test_run_concurrent_failure_flagged():
     run = run_concurrent(workload, processes=2)
     assert run.failed
     assert len(run.records) == 2  # partial records retained
+
+
+def test_bench_run_with_missing_command_fails_without_hanging():
+    src = os.path.dirname(os.path.dirname(phenocloud.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phenocloud.cli", "bench", "run",
+         "--processes", "2", "--workload", "cmd:/nonexistent/cmd"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    run = json.loads(proc.stdout)
+    assert run["failed"] is True
+    assert [e["index"] for e in run["errors"]] == [0, 1]
+    assert all("No such file or directory" in e["reason"] for e in run["errors"])
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_concurrent_zero_processes():

@@ -1,3 +1,5 @@
+import os
+import stat
 import statistics
 import sys
 import time
@@ -184,6 +186,39 @@ def test_external_command_failure_keeps_parts(tmp_path):
     with pytest.raises(ScanError):
         run_scan(SMALL_GRID, workers=2, out=out, kernel="command", command="exit 9")
     assert not (tmp_path / "scan.dat").exists()
+
+
+def test_failed_scan_removes_earlier_output(tmp_path):
+    out = tmp_path / "scan.dat"
+    out.write_text("result of an earlier run\n")
+    with pytest.raises(ScanError):
+        run_scan(SMALL_GRID, workers=2, out=str(out), kernel="command", command="exit 9")
+    assert not out.exists()
+    assert not list(tmp_path.iterdir())
+
+
+def test_failed_scan_error_names_workers_and_reason(tmp_path):
+    out = str(tmp_path / "scan.dat")
+    with pytest.raises(ScanError) as err:
+        run_scan(SMALL_GRID, workers=2, out=out, kernel="command", command="exit 9")
+    message = str(err.value)
+    assert "worker 0 failed: ScanError: kernel command failed with exit 9" in message
+    assert "worker 1 failed: ScanError: kernel command failed with exit 9" in message
+    assert "kept" not in message
+
+
+def test_output_that_is_not_a_regular_file_is_refused(tmp_path):
+    fifo = tmp_path / "scan.fifo"
+    os.mkfifo(fifo)
+    # With a reader open, code that writes into the FIFO fails this test
+    # instead of blocking in open().
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(ScanError, match="not a regular file"):
+            run_scan(SMALL_GRID, workers=1, out=str(fifo))
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_failed_worker_keeps_part_files_of_survivors(tmp_path):

@@ -24,6 +24,7 @@ from phenocloud.errors import PhenocloudError
 STATUS_ALLOWED = "ALLOWED"
 STATUS_EXC_LHC = "EXC_LHC"
 STATUS_EXC_LEP = "EXC_LEP"
+STATUSES = (STATUS_ALLOWED, STATUS_EXC_LHC, STATUS_EXC_LEP)
 
 HEADER = "# MA TANB STATUS\n"
 
@@ -135,8 +136,12 @@ def format_point(ma: float, tanb: float, status: str) -> str:
     return "%.6g %.6g %s\n" % (ma, tanb, status)
 
 
-def _evaluate_command(points, command, timeout_per_point):
-    stdin = "".join("%.6g %.6g\n" % (ma, tb) for ma, tb in points)
+def _evaluate_command(points, first_index, command, timeout_per_point):
+    """Run the command kernel over `points`, whose grid indices start at
+    `first_index`.  Each output line must echo its input point as sent and
+    add one known status."""
+    inputs = ["%.6g %.6g" % (ma, tb) for ma, tb in points]
+    stdin = "".join(f"{point}\n" for point in inputs)
     timeout = timeout_per_point * len(points) if timeout_per_point else None
     proc = subprocess.run(
         command,
@@ -154,6 +159,13 @@ def _evaluate_command(points, command, timeout_per_point):
         raise ScanError(
             f"kernel emitted {len(lines)} lines for {len(points)} points"
         )
+    for offset, (point, line) in enumerate(zip(inputs, lines)):
+        tokens = line.split()
+        if tokens[:2] != point.split() or len(tokens) != 3 or tokens[2] not in STATUSES:
+            raise ScanError(
+                f"kernel output for point {first_index + offset}: expected "
+                f"'{point} <{'|'.join(STATUSES)}>', got {line.strip()!r}"
+            )
     return [line.rstrip("\n") + "\n" for line in lines]
 
 
@@ -222,7 +234,7 @@ def _worker(grid, part, kernel, work_units, command, timeout_per_point, out):
     if kernel == "builtin":
         lines = [format_point(ma, tb, builtin_kernel(ma, tb, work_units)) for ma, tb in points]
     else:
-        lines = _evaluate_command(points, command, timeout_per_point)
+        lines = _evaluate_command(points, part.lo, command, timeout_per_point)
     part_path = f"{out}.part{part.worker_index}"
     with open(part_path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)

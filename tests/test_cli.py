@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import phenocloud
 from phenocloud.cli import dispatch
 
 
@@ -179,3 +183,33 @@ def test_machine_readable_stdout_is_json_on_success(catalog_file, metadata_file,
     code = dispatch(["ctx", "plan", "--catalog", catalog_file, "--metadata", metadata_file])
     assert code == 0
     json.loads(capsys.readouterr().out)  # must not raise
+
+
+def test_ctx_plan_on_deep_cyclic_chain_is_a_one_line_error(tmp_path):
+    names = ["c%05d" % i for i in range(10_000)]
+    catalog = {
+        name: {
+            "installer": "install.sh",
+            "dependencies": [names[(i + 1) % len(names)]],
+            "versions": {"1.0": {"version_name": "1.0"}},
+        }
+        for i, name in enumerate(names)
+    }
+    catalog_path = tmp_path / "catalog.json"
+    catalog_path.write_text(json.dumps(catalog))
+    metadata_path = tmp_path / "metadata.json"
+    metadata_path.write_text(json.dumps({names[0]: "1.0"}))
+    src = os.path.dirname(os.path.dirname(phenocloud.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phenocloud.cli", "ctx", "plan",
+         "--catalog", str(catalog_path), "--metadata", str(metadata_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: dependency cycle: ")

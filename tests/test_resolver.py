@@ -190,3 +190,108 @@ def test_property_random_dag_plans_are_valid(data):
     plan = resolve(make_catalog(deps), request)
     assert order_is_valid(plan.names(), deps)
     assert set(plan.names()) == transitive_closure(deps, request)
+
+
+# --- deep chains ---------------------------------------------------------------
+
+CHAIN_LENGTH = 10_000
+
+
+def chain_deps(cyclic: bool) -> dict:
+    """c00000 -> c00001 -> ... -> c09999, closed back to c00000 when cyclic."""
+    names = ["c%05d" % i for i in range(CHAIN_LENGTH)]
+    deps = {name: [nxt] for name, nxt in zip(names, names[1:])}
+    deps[names[-1]] = [names[0]] if cyclic else []
+    return deps
+
+
+def test_check_cycles_deep_acyclic_chain():
+    assert check_cycles(make_catalog(chain_deps(cyclic=False))) == []
+
+
+def test_check_cycles_deep_cyclic_chain():
+    deps = chain_deps(cyclic=True)
+    names = sorted(deps)
+    assert check_cycles(make_catalog(deps)) == [names + [names[0]]]
+
+
+def test_resolve_deep_acyclic_chain():
+    deps = chain_deps(cyclic=False)
+    plan = resolve(make_catalog(deps), {"c00000": "1.0"})
+    assert plan.names() == sorted(deps, reverse=True)
+
+
+def test_resolve_deep_cyclic_chain_raises_cycle_error():
+    deps = chain_deps(cyclic=True)
+    with pytest.raises(CycleError) as err:
+        resolve(make_catalog(deps), {"c00000": "1.0"})
+    cycle = err.value.cycle
+    assert cycle[0] == cycle[-1] == "c00000"  # anchored at its smallest node
+    assert len(cycle) == CHAIN_LENGTH + 1
+    for a, b in zip(cycle, cycle[1:]):
+        assert b in deps[a]
+
+
+# --- check_cycles against the anchored-DFS enumerator --------------------------
+
+
+def reference_check_cycles(catalog) -> list:
+    """The original enumerator: every elementary cycle as a closed path,
+    anchored at its smallest node, found by a DFS over sorted neighbours
+    that never descends below the anchor.  Exponential, small graphs only."""
+    edges = {name: sorted(set(catalog[name].dependencies)) for name in catalog}
+    cycles = []
+    for anchor in sorted(edges):
+        path = [anchor]
+        on_path = {anchor}
+
+        def dfs(node):
+            for nxt in edges.get(node, ()):
+                if nxt == anchor:
+                    cycles.append(path + [anchor])
+                elif nxt > anchor and nxt not in on_path:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    dfs(nxt)
+                    on_path.discard(nxt)
+                    path.pop()
+
+        dfs(anchor)
+    return cycles
+
+
+@st.composite
+def digraphs(draw):
+    """Up to 10 nodes in a random insertion order; each depends on up to 3
+    nodes, itself and repeats allowed."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    names = draw(st.permutations([chr(ord("A") + i) for i in range(n)]))
+    return {
+        name: draw(st.lists(st.sampled_from(names), max_size=3)) for name in names
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_property_check_cycles_equals_reference_enumerator(deps):
+    catalog = make_catalog(deps)
+    assert check_cycles(catalog) == reference_check_cycles(catalog)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(), st.data())
+def test_property_reported_cycle_is_a_closed_path_of_edges(deps, data):
+    request = {
+        name: "1.0"
+        for name in data.draw(st.lists(st.sampled_from(sorted(deps)), unique=True, min_size=1))
+    }
+    try:
+        plan = resolve(make_catalog(deps), request)
+    except CycleError as err:
+        cycle = err.cycle
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        for a, b in zip(cycle, cycle[1:]):
+            assert b in deps[a]
+    else:
+        assert order_is_valid(plan.names(), deps)
+        assert set(plan.names()) == transitive_closure(deps, request)

@@ -114,9 +114,13 @@ def test_builtin_kernel_near_constant_cost():
     grid = build_grid(SMALL_GRID)
     builtin_kernel(*grid[0], work_units=200_000)  # warm the burn buffer
     for ma, tb in grid[:32]:
-        start = time.perf_counter()
-        builtin_kernel(ma, tb, work_units=200_000)
-        times.append(time.perf_counter() - start)
+        # host noise only ever adds time, so each sample is the least of 3 calls
+        samples = []
+        for _ in range(3):
+            start = time.perf_counter()
+            builtin_kernel(ma, tb, work_units=200_000)
+            samples.append(time.perf_counter() - start)
+        times.append(min(samples))
     cv = statistics.pstdev(times) / statistics.mean(times)
     assert cv < 0.25
 
@@ -179,6 +183,25 @@ def test_external_command_kernel(tmp_path):
     lines = read_lines(out)
     assert len(lines) == 1 + SMALL_GRID.n_points
     assert all(line.endswith("ALLOWED\n") for line in lines[1:])
+
+
+def test_command_kernel_with_unknown_status_is_refused(tmp_path):
+    out = tmp_path / "scan.dat"
+    kernel = 'while read ma tb; do echo "$ma $tb BOGUS"; done'
+    with pytest.raises(ScanError) as err:
+        run_scan(SMALL_GRID, workers=2, out=str(out), kernel="command", command=kernel)
+    message = str(err.value)
+    assert "point 0:" in message and "BOGUS" in message
+    assert "point 32:" in message  # the second worker's first point
+    assert not out.exists()
+
+
+def test_command_kernel_that_does_not_echo_its_point_is_refused(tmp_path):
+    out = tmp_path / "scan.dat"
+    kernel = 'while read ma tb; do echo "$tb $ma ALLOWED"; done'
+    with pytest.raises(ScanError, match="point 0:"):
+        run_scan(SMALL_GRID, workers=1, out=str(out), kernel="command", command=kernel)
+    assert not out.exists()
 
 
 def test_external_command_failure_keeps_parts(tmp_path):

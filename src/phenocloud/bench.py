@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import resource
+import shlex
 import subprocess
 import time
 from dataclasses import asdict, dataclass
@@ -74,15 +75,18 @@ class BenchRun:
 
     @classmethod
     def from_dict(cls, raw):
-        return cls(
-            machine=MachineLabel(**raw["machine"]),
-            phase=raw["phase"],
-            processes=raw["processes"],
-            records=[TimingRecord(**r) for r in raw["records"]],
-            label=raw.get("label", ""),
-            failed=raw.get("failed", False),
-            errors=tuple(raw.get("errors", ())),
-        )
+        try:
+            return cls(
+                machine=MachineLabel(**raw["machine"]),
+                phase=raw["phase"],
+                processes=raw["processes"],
+                records=[TimingRecord(**r) for r in raw["records"]],
+                label=raw.get("label", ""),
+                failed=raw.get("failed", False),
+                errors=tuple(raw.get("errors", ())),
+            )
+        except (KeyError, TypeError) as exc:
+            raise BenchError(f"malformed bench run: {type(exc).__name__}: {exc}") from exc
 
 
 # --- analyzer ----------------------------------------------------------------
@@ -136,12 +140,21 @@ class Workload:
     command: tuple | None = None
     work_units: int = 0
 
+    def __post_init__(self):
+        if self.command is not None and not self.command:
+            raise ValueError("workload command must be non-empty")
+        if self.work_units < 0:
+            raise ValueError("work_units must be >= 0")
+
     @classmethod
     def from_spec(cls, spec: str) -> "Workload":
+        """`builtin`, or `cmd:` and a command line split as a POSIX shell
+        would, quotes included; the command runs without a shell, so that
+        its own time is what gets measured."""
         if spec == "builtin":
             return cls(work_units=10**7)
         if spec.startswith("cmd:"):
-            return cls(command=tuple(spec[4:].split()))
+            return cls(command=tuple(shlex.split(spec[4:])))
         raise ValueError(f"unknown workload spec {spec!r}")
 
 

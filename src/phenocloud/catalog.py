@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 from phenocloud.errors import CatalogError, NotFoundError
 
@@ -34,6 +35,20 @@ class ApplicationEntry:
     base_url: str | None = None
     file: str | None = None
     dependencies: tuple = ()
+    # The defaults plus every version's override: every edge some version
+    # selection can give this application.
+    all_dependencies: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        overrides = [
+            spec.overrides["dependencies"]
+            for spec in self.versions.values()
+            if "dependencies" in spec.overrides
+        ]
+        union = self.dependencies
+        if overrides:
+            union = tuple(dict.fromkeys(chain(union, *overrides)))
+        object.__setattr__(self, "all_dependencies", union)
 
 
 @dataclass(frozen=True)
@@ -140,11 +155,7 @@ def validate_catalog(catalog: Catalog):
     here.  Raises CatalogError on the first dangling dependency.
     """
     for name in catalog:
-        entry = catalog[name]
-        deps = set(entry.dependencies)
-        for spec in entry.versions.values():
-            deps.update(spec.overrides.get("dependencies", ()))
-        for dep in deps:
+        for dep in catalog[name].all_dependencies:
             if dep not in catalog:
                 raise CatalogError(
                     f"entry {name!r}: dependency {dep!r} not in catalog"

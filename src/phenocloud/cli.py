@@ -43,8 +43,9 @@ def load_global_config() -> dict:
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise PhenocloudError(f"{CONFIG_ENV} file {path} must hold a JSON object")
     return {k: raw[k] for k in CONFIG_KEYS if k in raw}
 
 
@@ -58,6 +59,13 @@ def _setting(args, config, flag, key=None):
 def _read(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def _read_json(path):
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise PhenocloudError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_catalog(args, config):
@@ -112,11 +120,16 @@ def cmd_ctx_run(args, config):
 
 
 def cmd_ctx_images(args, config):
-    raw = json.loads(_read(args.registry))
-    images = [
-        ImageRecord(image_id=r["id"], properties=r.get("properties", {})) for r in raw
-    ]
-    ready = filter_ready_images(images)
+    raw = _read_json(args.registry)
+    try:
+        images = [
+            ImageRecord(image_id=r["id"], properties=r.get("properties", {})) for r in raw
+        ]
+        ready = filter_ready_images(images)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise PhenocloudError(
+            f"malformed image registry {args.registry}: {type(exc).__name__}: {exc}"
+        ) from exc
     print(json.dumps([img.image_id for img in ready], indent=2))
     return 0
 
@@ -200,14 +213,17 @@ def cmd_auth_token_verify(args, config):
 # --- scan --------------------------------------------------------------------
 
 
-def _parse_range(text):
+def _parse_range(flag, text):
     lo, _, hi = text.partition(":")
-    return float(lo), float(hi)
+    try:
+        return float(lo), float(hi)
+    except ValueError:
+        raise PhenocloudError(f"{flag} takes LO:HI, got {text!r}") from None
 
 
 def cmd_scan_run(args, config):
-    ma_min, ma_max = _parse_range(args.ma)
-    tb_min, tb_max = _parse_range(args.tb)
+    ma_min, ma_max = _parse_range("--ma", args.ma)
+    tb_min, tb_max = _parse_range("--tb", args.tb)
     grid = scan_mod.ScanGrid(
         ma_min=ma_min, ma_max=ma_max, tb_min=tb_min, tb_max=tb_max,
         steps_per_axis=args.steps,
@@ -258,10 +274,10 @@ def cmd_bench_run(args, config):
 def cmd_bench_analyze(args, config):
     baseline = None
     if args.baseline:
-        baseline = bench_mod.BenchRun.from_dict(json.loads(_read(args.baseline)))
+        baseline = bench_mod.BenchRun.from_dict(_read_json(args.baseline))
     reports = []
     for path in args.runs:
-        run = bench_mod.BenchRun.from_dict(json.loads(_read(path)))
+        run = bench_mod.BenchRun.from_dict(_read_json(path))
         reports.append(bench_mod.analyze(run, baseline=baseline))
     if args.report == "table":
         for r in reports:
@@ -378,7 +394,7 @@ def dispatch(argv) -> int:
     try:
         config = load_global_config()
         return args.func(args, config)
-    except (PhenocloudError, OSError) as exc:
+    except (PhenocloudError, OSError, ValueError) as exc:  # bad input: one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -73,17 +73,22 @@ class MappingConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "MappingConfig":
-        raw = json.loads(text)
-        return cls(
-            vo_rules=[
-                VoRule(r["vo"], r["tenant"], bool(r.get("auto_create", False)))
-                for r in raw.get("vo_rules", [])
-            ],
-            user_rules=[
-                UserRule(r["pattern"], r["tenant"], bool(r.get("auto_create", False)))
-                for r in raw.get("user_rules", [])
-            ],
-        )
+        try:
+            raw = json.loads(text)
+            return cls(
+                vo_rules=[
+                    VoRule(r["vo"], r["tenant"], bool(r.get("auto_create", False)))
+                    for r in raw.get("vo_rules", [])
+                ],
+                user_rules=[
+                    UserRule(r["pattern"], r["tenant"], bool(r.get("auto_create", False)))
+                    for r in raw.get("user_rules", [])
+                ],
+            )
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"mapping config is not valid JSON: {exc}") from exc
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed mapping config: {type(exc).__name__}: {exc}") from exc
 
     def match_vo(self, vo):
         for rule in self.vo_rules:

@@ -201,6 +201,8 @@ def resolve(catalog: Catalog, request: dict) -> InstallPlan:
 def check_cycles(catalog: Catalog) -> list:
     """Return every elementary dependency cycle in the catalog.
 
+    An application's edges are its dependencies under any of its versions,
+    so every cycle some request can make `resolve` raise is listed.
     Cycles are reported as closed paths ([a, b, a]), each elementary
     cycle once, starting at its lexicographically smallest node.
     Anchors ascend; under one anchor, cycles come in depth-first order
@@ -210,7 +212,7 @@ def check_cycles(catalog: Catalog) -> list:
     names = sorted(catalog)
     rank = {name: i for i, name in enumerate(names)}
     succ = [
-        sorted({rank[d] for d in catalog[name].dependencies if d in rank})
+        sorted({rank[d] for d in catalog[name].all_dependencies if d in rank})
         for name in names
     ]
     # Cycles anchored at a component's smallest node lie inside that

@@ -14,10 +14,9 @@ import contextlib
 import multiprocessing
 import os
 import subprocess
+import zlib
 from dataclasses import dataclass
 from multiprocessing.connection import wait
-
-import numpy as np
 
 from phenocloud.errors import PhenocloudError
 
@@ -97,22 +96,18 @@ def partition(n_points: int, workers: int):
     return parts
 
 
-_BURN_CHUNK = 1 << 16
-_burn_buffer = None
+_BURN_BLOCK = memoryview(bytes(range(256)) * 256)  # 64 KiB
 
 
-def burn(work_units: int) -> float:
-    """Spend work_units arithmetic operations; cost is uniform per call."""
-    global _burn_buffer
-    if _burn_buffer is None:
-        _burn_buffer = np.sqrt(np.arange(1, _BURN_CHUNK + 1, dtype=np.float64))
-    total = 0.0
+def burn(work_units: int) -> int:
+    """Spend CPU time in proportion to work_units: one byte of CRC-32 each."""
+    crc = 0
     remaining = int(work_units)
     while remaining > 0:
-        n = min(remaining, _BURN_CHUNK)
-        total += float(np.sum(_burn_buffer[:n]))
+        n = min(remaining, len(_BURN_BLOCK))
+        crc = zlib.crc32(_BURN_BLOCK[:n], crc)
         remaining -= n
-    return total
+    return crc
 
 
 def classify(ma: float, tanb: float) -> str:

@@ -193,3 +193,9 @@ def test_workload_spec_parsing():
     assert Workload.from_spec("builtin").command is None
     with pytest.raises(ValueError):
         Workload.from_spec("frobnicate")
+
+
+def test_cmd_workload_keeps_quoted_arguments():
+    workload = Workload.from_spec("cmd:sh -c 'exit 0'")
+    assert workload.command == ("sh", "-c", "exit 0")
+    assert not run_concurrent(workload, processes=1).failed

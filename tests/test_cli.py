@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import phenocloud
+from phenocloud import identity as identity_mod
 from phenocloud.cli import dispatch
 
 
@@ -213,3 +214,72 @@ def test_ctx_plan_on_deep_cyclic_chain_is_a_one_line_error(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: dependency cycle: ")
+
+
+BAD_INPUTS = [
+    pytest.param(["auth", "map-vo", "--config", "{mapping}", "--dn", "/CN=a", "--vo", "pheno",
+                  "--not-before", "10", "--not-after", "5"], None, id="map-vo-window"),
+    pytest.param(["auth", "token", "issue", "--key", "k", "--subject", "s", "--tenant", "t",
+                  "--lifetime", "0"], None, id="token-lifetime"),
+    pytest.param(["scan", "run", "--steps", "0", "--out", "{out}"], None, id="scan-steps"),
+    pytest.param(["scan", "run", "--ma", "5", "--out", "{out}"], None, id="scan-range"),
+    pytest.param(["bench", "run", "--processes", "1", "--workload", "foo"], None,
+                 id="bench-workload"),
+    pytest.param(["bench", "run", "--processes", "1", "--workload", "cmd:sh -c 'exit 0"], None,
+                 id="bench-unclosed-quote"),
+    pytest.param(["bench", "run", "--processes", "1", "--work-units", "-1"], None,
+                 id="bench-negative-work"),
+    pytest.param(["auth", "map-user", "--config", "{not_json}", "--user", "u"], None,
+                 id="mapping-not-json"),
+    pytest.param(["auth", "map-user", "--config", "{no_tenant}", "--user", "u"], None,
+                 id="mapping-rule-without-tenant"),
+    pytest.param(["auth", "token", "verify", "--key", "k", "--token", "x"], "{not_json}",
+                 id="pheno-config-not-json"),
+    pytest.param(["bench", "analyze", "{empty}"], None, id="bench-analyze-empty"),
+    pytest.param(["ctx", "images", "--registry", "{no_id}"], None, id="registry-without-id"),
+]
+
+
+@pytest.mark.parametrize("argv,pheno_config", BAD_INPUTS)
+def test_bad_input_is_a_one_line_error(argv, pheno_config, identity_config_file, tmp_path,
+                                       monkeypatch, capsys):
+    files = {"mapping": identity_config_file, "out": str(tmp_path / "scan.dat")}
+    for name, text in [("not_json", "not json"), ("empty", "{}"), ("no_id", '[{"idx": 1}]'),
+                       ("no_tenant", '{"user_rules": [{"pattern": "u"}]}')]:
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
+    monkeypatch.delenv("PHENO_CONFIG", raising=False)
+    if pheno_config:
+        monkeypatch.setenv("PHENO_CONFIG", pheno_config.format(**files))
+    code = dispatch([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+NO_NUMPY = (
+    "import runpy, sys\n"
+    "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
+    "runpy.run_module('phenocloud.cli', run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["auth", "token", "verify", "--key", "k", "--now", "1030", "--token", "{token}"],
+    ["scan", "run", "--workers", "2", "--work-units", "1000", "--out", "scan.dat"],
+    ["bench", "run", "--processes", "2", "--work-units", "1000"],
+], ids=["auth-token-verify", "scan-run", "bench-run"])
+def test_cli_runs_without_numpy(argv, tmp_path):
+    token = identity_mod.issue_token(b"k", "s", "t", 60.0, 1000.0).encode()
+    src = os.path.dirname(os.path.dirname(phenocloud.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, *[arg.format(token=token) for arg in argv]],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_catalog
+from phenocloud.catalog import parse_catalog
 from phenocloud.errors import CycleError, DanglingDependencyError, NotFoundError
 from phenocloud.resolver import check_cycles, resolve
 
@@ -125,6 +127,26 @@ def test_check_cycles_two_disjoint_two_cycles():
     assert len(cycles) == 2
     # cross-check against a brute-force enumeration of closed simple paths
     assert sorted(tuple(c) for c in cycles) == [("A", "B", "A"), ("C", "D", "C")]
+
+
+def test_check_cycles_follows_version_overrides():
+    catalog = parse_catalog(json.dumps({
+        "A": {
+            "installer": "install.sh",
+            "versions": {
+                "1.0": {"version_name": "1.0"},
+                "2.0": {"version_name": "2.0", "dependencies": ["B"]},
+            },
+        },
+        "B": {
+            "installer": "install.sh",
+            "dependencies": ["A"],
+            "versions": {"1.0": {"version_name": "1.0"}},
+        },
+    }))
+    with pytest.raises(CycleError):
+        resolve(catalog, {"A": "2.0"})
+    assert check_cycles(catalog) == [["A", "B", "A"]]
 
 
 def random_dag(rng, n_apps):

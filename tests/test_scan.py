@@ -112,7 +112,7 @@ def test_builtin_kernel_near_constant_cost():
     # per-point cost spread is what justifies static partitioning
     times = []
     grid = build_grid(SMALL_GRID)
-    builtin_kernel(*grid[0], work_units=200_000)  # warm the burn buffer
+    builtin_kernel(*grid[0], work_units=200_000)  # warm up before timing
     for ma, tb in grid[:32]:
         # host noise only ever adds time, so each sample is the least of 3 calls
         samples = []

@@ -1,9 +1,6 @@
 """Toolkit for catalog-driven VM contextualization, identity mapping,
 embarrassingly parallel parameter scans and process benchmarking."""
 
-from phenocloud.catalog import Catalog, parse_catalog, validate_catalog, effective_version
-from phenocloud.resolver import resolve, check_cycles
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -14,3 +11,15 @@ __all__ = [
     "resolve",
     "check_cycles",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the catalog and the resolver load on first use of their names,
+    # so a process that never plans (a CLI token check) never imports them.
+    if name in ("Catalog", "parse_catalog", "validate_catalog", "effective_version"):
+        from phenocloud import catalog as module
+    elif name in ("resolve", "check_cycles"):
+        from phenocloud import resolver as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

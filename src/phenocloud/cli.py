@@ -9,24 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import time
 
-from phenocloud import bench as bench_mod
-from phenocloud import identity as identity_mod
-from phenocloud import scan as scan_mod
-from phenocloud.catalog import parse_catalog
-from phenocloud.contextualize import (
-    Contextualizer,
-    ImageRecord,
-    MetadataSource,
-    fetch_metadata,
-    filter_ready_images,
-)
 from phenocloud.errors import PhenocloudError
-from phenocloud.resolver import resolve
 
 CONFIG_ENV = "PHENO_CONFIG"
 CONFIG_KEYS = (
@@ -69,6 +56,7 @@ def _read_json(path):
 
 
 def _load_catalog(args, config):
+    from phenocloud.catalog import parse_catalog
     path = _setting(args, config, "catalog")
     if not path:
         raise PhenocloudError("no catalog given (flag --catalog or PHENO_CONFIG)")
@@ -79,6 +67,8 @@ def _load_catalog(args, config):
 
 
 def cmd_ctx_plan(args, config):
+    from phenocloud.contextualize import MetadataSource, fetch_metadata
+    from phenocloud.resolver import resolve
     catalog = _load_catalog(args, config)
     request = fetch_metadata(MetadataSource("local-file", args.metadata))
     plan = resolve(catalog, request)
@@ -100,6 +90,7 @@ def cmd_ctx_plan(args, config):
 
 
 def cmd_ctx_run(args, config):
+    from phenocloud.contextualize import Contextualizer, MetadataSource, fetch_metadata
     catalog = _load_catalog(args, config)
     request = fetch_metadata(MetadataSource("local-file", args.metadata))
     root = _setting(args, config, "root")
@@ -120,6 +111,7 @@ def cmd_ctx_run(args, config):
 
 
 def cmd_ctx_images(args, config):
+    from phenocloud.contextualize import ImageRecord, filter_ready_images
     raw = _read_json(args.registry)
     try:
         images = [
@@ -138,6 +130,7 @@ def cmd_ctx_images(args, config):
 
 
 def _identity_parts(args, config):
+    from phenocloud import identity as identity_mod
     config_path = _setting(args, config, "config", "identity_config")
     store_path = _setting(args, config, "store", "principal_store")
     if not config_path:
@@ -151,6 +144,7 @@ def _identity_parts(args, config):
 
 
 def _emit_decision(outcome):
+    from phenocloud import identity as identity_mod
     if isinstance(outcome, identity_mod.Denial):
         print(f"denied ({outcome.reason}): {outcome.detail}", file=sys.stderr)
         return 1
@@ -161,6 +155,7 @@ def _emit_decision(outcome):
 
 
 def cmd_auth_map_vo(args, config):
+    from phenocloud import identity as identity_mod
     mapping, store = _identity_parts(args, config)
     now = time.time() if args.now is None else args.now
     assertion = identity_mod.Assertion(
@@ -173,6 +168,7 @@ def cmd_auth_map_vo(args, config):
 
 
 def cmd_auth_map_user(args, config):
+    from phenocloud import identity as identity_mod
     mapping, store = _identity_parts(args, config)
     return _emit_decision(identity_mod.map_username(mapping, store, args.user))
 
@@ -185,6 +181,7 @@ def _signing_key(args, config) -> bytes:
 
 
 def cmd_auth_token_issue(args, config):
+    from phenocloud import identity as identity_mod
     key = _signing_key(args, config)
     now = time.time() if args.now is None else args.now
     token = identity_mod.issue_token(key, args.subject, args.tenant, args.lifetime, now)
@@ -193,6 +190,7 @@ def cmd_auth_token_issue(args, config):
 
 
 def cmd_auth_token_verify(args, config):
+    from phenocloud import identity as identity_mod
     key = _signing_key(args, config)
     now = time.time() if args.now is None else args.now
     token, reason = identity_mod.verify_token(key, args.token, now)
@@ -222,6 +220,7 @@ def _parse_range(flag, text):
 
 
 def cmd_scan_run(args, config):
+    from phenocloud import scan as scan_mod
     ma_min, ma_max = _parse_range("--ma", args.ma)
     tb_min, tb_max = _parse_range("--tb", args.tb)
     grid = scan_mod.ScanGrid(
@@ -259,6 +258,7 @@ def cmd_scan_run(args, config):
 
 
 def cmd_bench_run(args, config):
+    from phenocloud import bench as bench_mod
     workload = bench_mod.Workload.from_spec(args.workload)
     if args.work_units is not None and workload.command is None:
         workload = bench_mod.Workload(work_units=args.work_units)
@@ -272,6 +272,7 @@ def cmd_bench_run(args, config):
 
 
 def cmd_bench_analyze(args, config):
+    from phenocloud import bench as bench_mod
     baseline = None
     if args.baseline:
         baseline = bench_mod.BenchRun.from_dict(_read_json(args.baseline))
@@ -387,10 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    if args.verbose:
+        import logging
+        logging.basicConfig(level=logging.DEBUG, format="%(levelname)s %(name)s: %(message)s")
     try:
         config = load_global_config()
         return args.func(args, config)

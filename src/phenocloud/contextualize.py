@@ -19,6 +19,9 @@ from phenocloud.catalog import Catalog
 from phenocloud.errors import PhenocloudError
 from phenocloud.resolver import InstallPlan, resolve
 
+URL_TIMEOUT_S = 60.0  # per blocking socket operation of a metadata or archive fetch
+OUTPUT_TAIL_CHARS = 2000  # how much of a failed step's output its JSON report keeps
+
 
 class FetchError(PhenocloudError):
     """Metadata source unreachable or unreadable."""
@@ -55,7 +58,7 @@ class StepReport:
     output: str = ""
 
     def to_dict(self):
-        return {
+        doc = {
             "app": self.app,
             "version": self.version,
             "download": self.download,
@@ -63,6 +66,9 @@ class StepReport:
             "exit_status": self.exit_status,
             "duration_s": round(self.duration_s, 3),
         }
+        if self.download != "dry-run" and self.exit_status != 0:
+            doc["output"] = self.output[-OUTPUT_TAIL_CHARS:]
+        return doc
 
 
 @dataclass
@@ -104,7 +110,7 @@ def fetch_metadata(source: MetadataSource) -> dict:
             with open(source.location, encoding="utf-8") as fh:
                 text = fh.read()
         else:
-            with urllib.request.urlopen(source.location) as resp:
+            with urllib.request.urlopen(source.location, timeout=URL_TIMEOUT_S) as resp:
                 text = resp.read().decode("utf-8")
     except OSError as exc:
         raise FetchError(f"cannot fetch metadata from {source.location}: {exc}") from exc
@@ -153,7 +159,7 @@ def _download(url: str, dest: str, cache: dict) -> str:
     ):
         return "cached"
     try:
-        with urllib.request.urlopen(url) as resp, open(dest, "wb") as out:
+        with urllib.request.urlopen(url, timeout=URL_TIMEOUT_S) as resp, open(dest, "wb") as out:
             while True:
                 chunk = resp.read(1 << 16)
                 if not chunk:
@@ -207,6 +213,19 @@ class Contextualizer:
         start = time.monotonic()
         archive = None
         download = "skipped"
+        installer = step.effective["installer"]
+        scripts_dir = os.path.realpath(self.scripts_dir)
+        script = os.path.realpath(os.path.join(scripts_dir, installer))
+        if os.path.commonpath([scripts_dir, script]) != scripts_dir:
+            return StepReport(
+                app=step.name,
+                version=step.version_key,
+                download=download,
+                download_url=step.download_url,
+                exit_status=None,
+                duration_s=time.monotonic() - start,
+                output=f"installer {installer!r} resolves outside scripts dir {scripts_dir}",
+            )
         if step.download_url:
             archive = os.path.join(
                 downloads_dir, os.path.basename(step.download_url.rstrip("/"))
@@ -224,7 +243,6 @@ class Contextualizer:
                     output=str(exc),
                 )
 
-        script = os.path.join(self.scripts_dir, step.effective["installer"])
         prefix = os.path.join(self.root, "apps", step.name, step.version_key)
         env = dict(os.environ)
         env.update(

@@ -256,12 +256,14 @@ def _sign(key: bytes, body: bytes) -> bytes:
 def issue_token(key: bytes, subject: str, tenant: str, lifetime_s: float, now: float) -> Token:
     if lifetime_s <= 0:
         raise ValueError("token lifetime must be positive")
-    body = _canonical_body(subject, tenant, now, now + lifetime_s)
+    # verify_token re-encodes the times as floats: an int here would not match.
+    issued_at, expires_at = float(now), float(now) + float(lifetime_s)
+    body = _canonical_body(subject, tenant, issued_at, expires_at)
     return Token(
         subject=subject,
         tenant=tenant,
-        issued_at=now,
-        expires_at=now + lifetime_s,
+        issued_at=issued_at,
+        expires_at=expires_at,
         signature=_sign(key, body),
     )
 

@@ -283,3 +283,89 @@ def test_cli_runs_without_numpy(argv, tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_ctx_run_failed_step_shows_the_tail_of_its_output(tmp_path, capsys):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({
+        name: {"installer": f"{name}.sh", "dependencies": deps,
+               "versions": {"1.0": {"version_name": "1.0"}}}
+        for name, deps in (("A", []), ("B", ["A"]))
+    }))
+    metadata = tmp_path / "metadata.json"
+    metadata.write_text('{"B": "1.0"}')
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    (scripts / "A.sh").write_text("echo fine\n")
+    (scripts / "B.sh").write_text(
+        "printf '%03000d\\n' 0\necho 'configure: no fortran compiler found' >&2\nexit 3\n"
+    )
+    root = tmp_path / "root"
+    root.mkdir()
+    code = dispatch(["ctx", "run", "--catalog", str(catalog), "--metadata", str(metadata),
+                     "--root", str(root), "--scripts", str(scripts)])
+    assert code == 1
+    ok_step, failed_step = json.loads(capsys.readouterr().out)["steps"]
+    assert "output" not in ok_step
+    assert failed_step["exit_status"] == 3
+    assert len(failed_step["output"]) == 2000
+    assert failed_step["output"].endswith("configure: no fortran compiler found\n")
+
+
+NOT_FOR_TOKEN_CHECKS = (
+    "multiprocessing", "urllib.request", "logging", "phenocloud.catalog", "phenocloud.resolver",
+    "phenocloud.contextualize", "phenocloud.scan", "phenocloud.bench",
+)
+
+LOADED_AFTER_CLI = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('phenocloud.cli', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    f"loaded = [name for name in {NOT_FOR_TOKEN_CHECKS!r} if name in sys.modules]\n"
+    "sys.exit(f'loaded: {loaded}' if loaded else code)\n"
+)
+
+
+def test_token_verify_imports_no_other_subsystem(tmp_path):
+    token = identity_mod.issue_token(b"k", "s", "t", 60.0, 1000.0).encode()
+    src = os.path.dirname(os.path.dirname(phenocloud.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_CLI,
+         "auth", "token", "verify", "--key", "k", "--now", "1030", "--token", token],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["subject"] == "s"
+
+
+PACKAGE_NAMES_LOAD_LAZILY = (
+    "import sys\n"
+    "import phenocloud\n"
+    "assert 'phenocloud.catalog' not in sys.modules, 'import phenocloud loaded the catalog'\n"
+    "from phenocloud import (Catalog, parse_catalog, validate_catalog, effective_version,\n"
+    "                        resolve, check_cycles)\n"
+    "from phenocloud import catalog, resolver\n"
+    "assert (Catalog, parse_catalog, validate_catalog, effective_version) == (\n"
+    "    catalog.Catalog, catalog.parse_catalog, catalog.validate_catalog,\n"
+    "    catalog.effective_version)\n"
+    "assert (resolve, check_cycles) == (resolver.resolve, resolver.check_cycles)\n"
+)
+
+
+def test_package_names_load_their_module_on_first_use(tmp_path):
+    src = os.path.dirname(os.path.dirname(phenocloud.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", PACKAGE_NAMES_LOAD_LAZILY],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,13 +1,17 @@
 import hashlib
 import json
 import os
+import socket
 import stat
+import threading
 
 import pytest
 
 from conftest import make_catalog
+from phenocloud import contextualize as contextualize_mod
 from phenocloud.contextualize import (
     Contextualizer,
+    DownloadError,
     ImageRecord,
     MetadataSource,
     MetadataFormatError,
@@ -15,6 +19,7 @@ from phenocloud.contextualize import (
     fetch_metadata,
     filter_ready_images,
 )
+from phenocloud.errors import PhenocloudError
 
 
 def write_script(scripts_dir, name, body="exit 0\n"):
@@ -233,3 +238,95 @@ def test_report_json_shape(tmp_path, feyn_catalog):
     doc = json.loads(report.to_json())
     assert doc["overall"] == "success"
     assert [s["app"] for s in doc["steps"]] == ["FeynHiggs", "FormCalc"]
+
+
+def one_app_catalog(installer):
+    from phenocloud.catalog import parse_catalog
+
+    return parse_catalog(json.dumps(
+        {"A": {"installer": installer, "versions": {"1.0": {"version_name": "1.0"}}}}
+    ))
+
+
+@pytest.mark.parametrize("where", ["parent-dir", "absolute", "symlink"])
+def test_installer_outside_scripts_dir_never_runs(tmp_path, where):
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    marker = tmp_path / "escaped"
+    evil = write_script(tmp_path, "evil.sh", f"touch {marker}\n")
+    installer = {"parent-dir": "../evil.sh", "absolute": evil, "symlink": "link.sh"}[where]
+    if where == "symlink":
+        os.symlink(evil, scripts / "link.sh")
+    root = tmp_path / "root"
+    root.mkdir()
+    ctx = Contextualizer(one_app_catalog(installer), scripts_dir=str(scripts), root=str(root))
+    report = ctx.run({"A": "1.0"})
+    assert not marker.exists()
+    assert not report.ok and report.failed_at == 0
+    assert report.steps[0].exit_status is None
+    assert "outside scripts dir" in report.to_dict()["steps"][0]["output"]
+
+
+def test_relative_scripts_dir_is_read_from_the_working_directory(tmp_path, monkeypatch):
+    (tmp_path / "scripts").mkdir()
+    write_script(tmp_path / "scripts", "A.sh")
+    root = tmp_path / "root"
+    root.mkdir()
+    monkeypatch.chdir(tmp_path)
+    report = Contextualizer(one_app_catalog("A.sh"), scripts_dir="scripts", root=str(root)).run(
+        {"A": "1.0"}
+    )
+    assert report.ok, [s.output for s in report.steps]
+
+
+def test_failed_download_reports_its_reason(tmp_path):
+    catalog = catalog_with_archives(tmp_path, {"A": []})
+    os.unlink(tmp_path / "archives" / "A.tar.gz")
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    write_script(scripts, "A.sh")
+    root = tmp_path / "root"
+    root.mkdir()
+    report = Contextualizer(catalog, scripts_dir=str(scripts), root=str(root)).run({"A": "1.0"})
+    step = report.to_dict()["steps"][0]
+    assert step["download"] == "failed"
+    assert "download of " in step["output"] and "A.tar.gz" in step["output"]
+
+
+@pytest.fixture
+def silent_url():
+    """URL of a loopback server whose kernel accepts connections that nobody answers."""
+    with socket.socket() as server:
+        server.bind(("127.0.0.1", 0))
+        server.listen(4)
+        yield "http://127.0.0.1:%d/x.tar.gz" % server.getsockname()[1]
+
+
+def raised_within(limit_s, fn, *args):
+    """Run fn(*args) in a thread; return what it raised, failing if it is still blocked."""
+    raised = []
+
+    def target():
+        try:
+            fn(*args)
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(limit_s)
+    assert not thread.is_alive(), f"still blocked after {limit_s} s"
+    return raised[0] if raised else None
+
+
+def test_download_from_a_silent_server_times_out(tmp_path, silent_url, monkeypatch):
+    monkeypatch.setattr(contextualize_mod, "URL_TIMEOUT_S", 0.5)
+    dest = str(tmp_path / "x.tar.gz")
+    exc = raised_within(10, contextualize_mod._download, silent_url, dest, {})
+    assert isinstance(exc, DownloadError)
+
+
+def test_metadata_from_a_silent_server_times_out(silent_url, monkeypatch):
+    monkeypatch.setattr(contextualize_mod, "URL_TIMEOUT_S", 0.5)
+    exc = raised_within(10, fetch_metadata, MetadataSource("fixed-url", silent_url))
+    assert isinstance(exc, PhenocloudError)

@@ -239,3 +239,11 @@ def test_token_roundtrip_property(subject, tenant, lifetime):
     verified, reason = verify_token(KEY, token.encode(), now=NOW)
     assert reason is None
     assert verified.subject == subject and verified.tenant == tenant
+
+
+def test_token_issued_with_integer_times_verifies():
+    token = issue_token(b"k", "s", "t", 60, 1000)
+    verified, reason = verify_token(b"k", token.encode(), 1030)
+    assert reason is None
+    assert (verified.issued_at, verified.expires_at) == (1000.0, 1060.0)
+    assert verified == token

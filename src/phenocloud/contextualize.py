@@ -8,9 +8,12 @@ their environment.  Dry-run mode resolves everything and touches nothing.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
 import subprocess
+import tempfile
 import time
 import urllib.request
 from dataclasses import dataclass, field
@@ -140,9 +143,22 @@ def _load_cache(downloads_dir) -> dict:
         return {}
 
 
+@contextlib.contextmanager
+def _replacing(dest):
+    """Yield a binary temp file beside dest that replaces dest only if the block succeeds."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(dest), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as out:
+            yield out
+        os.replace(tmp, dest)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _save_cache(downloads_dir, cache):
-    with open(_cache_manifest_path(downloads_dir), "w", encoding="utf-8") as fh:
-        json.dump(cache, fh)
+    with _replacing(_cache_manifest_path(downloads_dir)) as fh:
+        fh.write(json.dumps(cache).encode("utf-8"))
 
 
 def _download(url: str, dest: str, cache: dict) -> str:
@@ -159,7 +175,7 @@ def _download(url: str, dest: str, cache: dict) -> str:
     ):
         return "cached"
     try:
-        with urllib.request.urlopen(url, timeout=URL_TIMEOUT_S) as resp, open(dest, "wb") as out:
+        with urllib.request.urlopen(url, timeout=URL_TIMEOUT_S) as resp, _replacing(dest) as out:
             while True:
                 chunk = resp.read(1 << 16)
                 if not chunk:
@@ -227,8 +243,10 @@ class Contextualizer:
                 output=f"installer {installer!r} resolves outside scripts dir {scripts_dir}",
             )
         if step.download_url:
+            # Keyed by URL, so archives of one basename from two sites stay apart.
+            url_key = hashlib.sha256(step.download_url.encode("utf-8")).hexdigest()[:16]
             archive = os.path.join(
-                downloads_dir, os.path.basename(step.download_url.rstrip("/"))
+                downloads_dir, url_key + "-" + os.path.basename(step.download_url.rstrip("/"))
             )
             try:
                 download = _download(step.download_url, archive, cache)

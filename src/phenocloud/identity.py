@@ -9,13 +9,13 @@ MAC-signed scoped tokens.
 from __future__ import annotations
 
 import base64
+import fcntl
 import hashlib
 import hmac
 import json
 import os
 import re
 import tempfile
-import threading
 from dataclasses import dataclass, field
 
 from phenocloud.errors import PhenocloudError
@@ -129,60 +129,135 @@ class PrincipalStore:
 
     def __init__(self):
         self._principals = {}
-        self._lock = threading.Lock()
 
     def get(self, username, tenant):
         return self._principals.get((username, tenant))
 
     def add(self, principal: Principal):
-        with self._lock:
-            existing = self._principals.get((principal.username, principal.tenant))
-            if existing is not None:
-                return existing
-            self._principals[(principal.username, principal.tenant)] = principal
-            self._flush()
-            return principal
+        """Store principal unless one with its key exists; return the stored one."""
+        return self._principals.setdefault((principal.username, principal.tenant), principal)
 
     def all(self):
         return list(self._principals.values())
 
-    def _flush(self):
-        pass
+
+def _owner_only(path, flags):
+    return os.open(path, flags, 0o600)  # as mkstemp makes the converted journal
+
+
+def _line(p: Principal) -> bytes:
+    return json.dumps(vars(p), separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 class JsonPrincipalStore(PrincipalStore):
-    """Principal store persisted as one JSON file, replaced atomically."""
+    """Principal store persisted as a JSON Lines journal, one principal per line.
+
+    ``add`` appends its line under an exclusive ``flock`` after reading the
+    lines other processes appended, so processes on one host sharing the file
+    keep each other's principals. A last line without a newline is a torn
+    write: loading ignores it and the next ``add`` truncates it. A legacy
+    JSON-array file is read, and the first ``add`` replaces it by its journal.
+    """
 
     def __init__(self, path):
         super().__init__()
         self.path = path
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                for raw in json.load(fh):
-                    p = Principal(**raw)
-                    self._principals[(p.username, p.tenant)] = p
+        self._inode = None  # file the offsets below refer to
+        self._offset = 0  # bytes of complete lines read
+        self._lines = 0  # complete lines read
+        try:
+            with open(path, "rb") as fh:
+                self._read(fh)
+        except FileNotFoundError:
+            pass
 
-    def _flush(self):
-        payload = [
-            {
-                "username": p.username,
-                "tenant": p.tenant,
-                "enabled": p.enabled,
-                "created_by": p.created_by,
-            }
-            for p in self._principals.values()
-        ]
+    def add(self, principal: Principal):
+        key = (principal.username, principal.tenant)
+        if key in self._principals:
+            return self._principals[key]
+        with self._locked() as fh:
+            legacy = self._read(fh)
+            if key in self._principals:
+                return self._principals[key]
+            if legacy:
+                self._convert(principal)
+            else:
+                if fh.tell() > self._offset:
+                    fh.truncate(self._offset)  # a torn tail; O_APPEND writes at the new end
+                line = _line(principal)
+                fh.write(line)
+                fh.flush()
+                self._offset += len(line)
+                self._lines += 1
+            self._principals[key] = principal
+        return principal
+
+    def _locked(self):
+        """Open the file at self.path, holding LOCK_EX; closing it unlocks."""
+        while True:
+            fh = open(self.path, "a+b", opener=_owner_only)
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                if os.fstat(fh.fileno()).st_ino == os.stat(self.path).st_ino:
+                    return fh
+            except BaseException:
+                fh.close()
+                raise
+            fh.close()  # a legacy file was converted while we waited: lock its journal
+
+    def _read(self, fh):
+        """Merge the lines appended since the last read, or all of them if the file was
+        replaced; return whether the file is a legacy JSON array."""
+        inode = os.fstat(fh.fileno()).st_ino
+        if inode != self._inode:
+            self._inode, self._offset, self._lines = inode, 0, 0
+        fh.seek(self._offset)
+        data = fh.read()
+        if self._offset == 0 and data.lstrip()[:1] == b"[":
+            try:
+                records = json.loads(data)
+            except ValueError as exc:
+                raise ConfigError(f"principal store {self.path} is not valid JSON: {exc}") from exc
+            for index, record in enumerate(records):
+                self._load(record, f"record {index}")
+            return True
+        end = data.rfind(b"\n") + 1
+        for line in data[:end].splitlines():
+            self._lines += 1
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"principal store {self.path} line {self._lines} is not JSON: {exc}"
+                ) from exc
+            self._load(record, f"line {self._lines}")
+        self._offset += end
+        return False
+
+    def _load(self, record, where):
+        try:
+            p = Principal(**record)
+        except TypeError as exc:
+            raise ConfigError(f"malformed principal store {self.path} {where}: {exc}") from exc
+        self._principals[(p.username, p.tenant)] = p
+
+    def _convert(self, principal):
+        """Replace the legacy array file by its journal plus principal, under the caller's lock."""
+        principals = [*self._principals.values(), principal]
+        data = b"".join(_line(p) for p in principals)
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(os.path.abspath(self.path)), suffix=".tmp"
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+                inode = os.fstat(fh.fileno()).st_ino
             os.replace(tmp, self.path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        self._inode, self._offset, self._lines = inode, len(data), len(principals)
 
 
 def _decide(rule, store: PrincipalStore, username: str):
@@ -193,8 +268,8 @@ def _decide(rule, store: PrincipalStore, username: str):
                 "unknown-principal",
                 f"{username!r} has no account in tenant {rule.tenant!r}",
             )
-        store.add(Principal(username=username, tenant=rule.tenant, created_by="auto"))
-        return Decision(tenant=rule.tenant, username=username, created=True)
+        new = Principal(username=username, tenant=rule.tenant, created_by="auto")
+        return Decision(tenant=rule.tenant, username=username, created=store.add(new) is new)
     return Decision(tenant=rule.tenant, username=username)
 
 

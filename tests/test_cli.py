@@ -369,3 +369,21 @@ def test_package_names_load_their_module_on_first_use(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("text,where", [
+    ('[{"username":"x"}]', "record 0"),
+    ('{"username":"a","tenant":"t","enabled":true,"created_by":"manual"}\nnot json\n', "line 2"),
+], ids=["legacy", "journal"])
+def test_malformed_principal_store_is_a_one_line_error(identity_config_file, tmp_path, capsys,
+                                                       text, where):
+    store = tmp_path / "bad.json"
+    store.write_text(text)
+    code = dispatch(["auth", "map-user", "--config", identity_config_file, "--store", str(store),
+                     "--user", "bob@ifca.es"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(store) in lines[0] and where in lines[0]

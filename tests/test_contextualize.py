@@ -330,3 +330,64 @@ def test_metadata_from_a_silent_server_times_out(silent_url, monkeypatch):
     monkeypatch.setattr(contextualize_mod, "URL_TIMEOUT_S", 0.5)
     exc = raised_within(10, fetch_metadata, MetadataSource("fixed-url", silent_url))
     assert isinstance(exc, PhenocloudError)
+
+
+def test_archives_with_one_basename_keep_their_own_bytes(tmp_path):
+    from phenocloud.catalog import parse_catalog
+
+    doc = {}
+    for name, payload in (("A", b"AAAA"), ("B", b"BBBB")):
+        archive_dir = tmp_path / name.lower()
+        archive_dir.mkdir()
+        (archive_dir / "pkg.tar.gz").write_bytes(payload)
+        doc[name] = {
+            "installer": "copy.sh",
+            "base_url": archive_dir.as_uri(),
+            "file": "pkg.tar.gz",
+            "versions": {"1.0": {"version_name": "1.0"}},
+        }
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    write_script(scripts, "copy.sh",
+                 'mkdir -p "$INSTALL_PREFIX"\ncp "$APP_ARCHIVE" "$INSTALL_PREFIX/archive"\n')
+    root = tmp_path / "root"
+    root.mkdir()
+    ctx = Contextualizer(parse_catalog(json.dumps(doc)), scripts_dir=str(scripts), root=str(root))
+    for expected in ("downloaded", "cached"):
+        report = ctx.run({"A": "1.0", "B": "1.0"})
+        assert report.ok
+        assert [s.download for s in report.steps] == [expected, expected]
+        for name, payload in (("A", b"AAAA"), ("B", b"BBBB")):
+            assert (root / "apps" / name / "1.0" / "archive").read_bytes() == payload
+
+
+def test_interrupted_download_leaves_no_file_in_downloads(tmp_path, monkeypatch):
+    catalog = catalog_with_archives(tmp_path, {"A": []})
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    write_script(scripts, "A.sh")
+    root = tmp_path / "root"
+    root.mkdir()
+
+    class BrokenResponse:
+        chunks = [b"x" * 1024]
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def read(self, size):
+            if self.chunks:
+                return self.chunks.pop()
+            raise OSError("connection reset")
+
+    monkeypatch.setattr(contextualize_mod.urllib.request, "urlopen",
+                        lambda url, timeout: BrokenResponse())
+    report = Contextualizer(catalog, scripts_dir=str(scripts), root=str(root)).run({"A": "1.0"})
+    assert not report.ok
+    assert report.steps[0].download == "failed"
+    assert os.listdir(root / "downloads") == [".cache.json"]
+    with open(root / "downloads" / ".cache.json") as fh:
+        assert json.load(fh) == {}

@@ -1,9 +1,14 @@
+import contextlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import phenocloud
 from phenocloud.identity import (
     Assertion,
     ConfigError,
@@ -247,3 +252,138 @@ def test_token_issued_with_integer_times_verifies():
     assert reason is None
     assert (verified.issued_at, verified.expires_at) == (1000.0, 1060.0)
     assert verified == token
+
+
+# --- principal store journal -------------------------------------------------
+
+
+def user_config():
+    return MappingConfig(user_rules=[UserRule(r".*", "t", True)])
+
+
+def write_legacy_store(path, principals):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump([vars(p) for p in principals], fh, indent=2)
+
+
+def store_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.endswith("\n")
+    return [json.loads(line) for line in text.splitlines()]
+
+
+WRITER = """
+import sys
+from phenocloud.identity import JsonPrincipalStore, MappingConfig, UserRule, map_username
+store = JsonPrincipalStore(sys.argv[1])
+config = MappingConfig(user_rules=[UserRule(r".*", "t", True)])
+print("ready", flush=True)
+sys.stdin.readline()
+created = 0
+for i in range(200):
+    assert map_username(config, store, "%s%03d" % (sys.argv[2], i)).created
+    created += map_username(config, store, "shared%03d" % i).created
+print(created)
+"""
+
+
+@pytest.mark.parametrize("seed_format", ["legacy", "journal"])
+def test_concurrent_processes_keep_each_others_principals(tmp_path, seed_format):
+    path = str(tmp_path / "principals.json")
+    seeded = Principal("seed", "t")
+    if seed_format == "legacy":
+        write_legacy_store(path, [seeded])
+    else:
+        JsonPrincipalStore(path).add(seeded)
+    src = os.path.dirname(os.path.dirname(phenocloud.__file__))
+    with contextlib.ExitStack() as stack:
+        procs = [
+            stack.enter_context(subprocess.Popen(
+                [sys.executable, "-c", WRITER, path, prefix],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                start_new_session=True,
+                env={**os.environ, "PYTHONPATH": src},
+            ))
+            for prefix in ("a", "b")
+        ]
+        try:
+            for proc in procs:  # both have loaded the store before either writes
+                assert proc.stdout.readline() == "ready\n"
+            for proc in procs:
+                proc.stdin.write("go\n")
+                proc.stdin.close()
+            shared_created = 0
+            for proc in procs:
+                assert proc.wait(timeout=60) == 0  # its output fits in the pipe
+                shared_created += int(proc.stdout.read())
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+    names = {p.username for p in JsonPrincipalStore(path).all()}
+    users = {"%s%03d" % (prefix, i) for prefix in ("a", "b", "shared") for i in range(200)}
+    assert names == {"seed"} | users
+    assert len(store_lines(path)) == 601  # each principal once
+    assert shared_created == 200  # and exactly one process created it
+
+
+def test_torn_last_line_is_ignored_then_truncated(tmp_path):
+    path = tmp_path / "principals.json"
+    complete = (
+        '{"username":"a","tenant":"t","enabled":true,"created_by":"manual"}\n'
+        '{"username":"b","tenant":"t","enabled":false,"created_by":"auto"}\n'
+    )
+    path.write_text(complete + '{"username":"c","ten')
+    store = JsonPrincipalStore(str(path))
+    assert sorted(p.username for p in store.all()) == ["a", "b"]
+    assert store.get("b", "t").enabled is False
+    store.add(Principal("d", "t", created_by="auto"))
+    assert path.read_text() == (
+        complete + '{"username":"d","tenant":"t","enabled":true,"created_by":"auto"}\n'
+    )
+
+
+def test_legacy_array_store_loads_and_converts_on_first_add(tmp_path):
+    path = str(tmp_path / "principals.json")
+    old = [Principal("a", "t"), Principal("b", "u", enabled=False, created_by="auto")]
+    write_legacy_store(path, old)
+    store = JsonPrincipalStore(path)
+    assert sorted(store.all(), key=lambda p: p.username) == old
+    new = Principal("c", "t", created_by="auto")
+    assert store.add(new) is new
+    assert [line["username"] for line in store_lines(path)] == ["a", "b", "c"]
+    reloaded = JsonPrincipalStore(path)
+    assert sorted(reloaded.all(), key=lambda p: p.username) == old + [new]
+    assert reloaded.add(Principal("d", "t")) is not None
+    assert len(store_lines(path)) == 4
+
+
+def test_created_only_when_this_call_wrote_the_principal(tmp_path):
+    path = str(tmp_path / "principals.json")
+    first, stale = JsonPrincipalStore(path), JsonPrincipalStore(path)
+    assert map_username(user_config(), first, "alice").created is True
+    outcome = map_username(user_config(), stale, "alice")
+    assert outcome == Decision(tenant="t", username="alice", created=False)
+    assert [line["username"] for line in store_lines(path)] == ["alice"]
+
+
+def test_new_store_is_readable_by_its_owner_only(tmp_path):
+    path = tmp_path / "principals.json"
+    JsonPrincipalStore(str(path)).add(Principal("u", "t"))
+    assert os.stat(path).st_mode & 0o777 == 0o600
+
+
+@pytest.mark.parametrize("text,where", [
+    ('[{"username": "x"}]', "record 0"),
+    ('{"username":"a","tenant":"t","enabled":true,"created_by":"manual"}\nnot json\n', "line 2"),
+    ('{"username":"a","tenant":"t"}\n{"username":"b"}\n', "line 2"),
+], ids=["legacy-missing-key", "journal-not-json", "journal-missing-key"])
+def test_malformed_store_raises_config_error_naming_where(tmp_path, text, where):
+    path = tmp_path / "principals.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        JsonPrincipalStore(str(path))
+    assert str(path) in str(info.value) and where in str(info.value)

@@ -178,12 +178,7 @@ def _child(workload: Workload):
     )
 
 
-def run_concurrent(
-    workload: Workload,
-    processes: int,
-    machine: MachineLabel | None = None,
-    phase: str = "workload",
-) -> BenchRun:
+def run_concurrent(workload: Workload, processes: int) -> BenchRun:
     """Run P copies of the workload simultaneously and time each one.
 
     All P processes are started first and released together by a barrier,
@@ -193,19 +188,12 @@ def run_concurrent(
     """
     if processes < 1:
         raise BenchError("process count must be >= 1")
-    if machine is None:
-        machine = MachineLabel(
-            size_class="R",
-            cores=multiprocessing.cpu_count(),
-            hyperthreading=False,
-            ram_gb=0.0,
-        )
     results = fan_out(_child, [(workload,)] * processes)
     failures = [asdict(r) for r in results if isinstance(r, WorkerFailure)]
     finished = [r for r in results if not isinstance(r, WorkerFailure)]
     return BenchRun(
-        machine=machine,
-        phase=phase,
+        machine=MachineLabel("R", multiprocessing.cpu_count(), False, 0.0),
+        phase="workload",
         processes=processes,
         records=[record for _, record in finished],
         failed=bool(failures) or any(status != 0 for status, _ in finished),

@@ -90,6 +90,31 @@ class Catalog:
         return isinstance(other, Catalog) and self._entries == other._entries
 
 
+def _typed_fields(raw, name, version_key=None) -> dict:
+    """The overridable fields raw holds, dependencies as a tuple.
+
+    Raises CatalogError naming the entry (and version) for a field of the
+    wrong JSON type.
+    """
+    fields = {}
+    for f in OVERRIDABLE_FIELDS:
+        if f not in raw:
+            continue
+        value = raw[f]
+        if f == "dependencies":
+            ok = isinstance(value, list)
+            for dep in value if ok else ():  # all() over a generator costs 3x on lists this short
+                ok = ok and isinstance(dep, str)
+        else:
+            ok = isinstance(value, str)
+        if not ok:
+            version = "" if version_key is None else f": version {version_key!r}"
+            kind = "a list of strings" if f == "dependencies" else "a string"
+            raise CatalogError(f"entry {name!r}{version}: {f!r} must be {kind}")
+        fields[f] = tuple(value) if f == "dependencies" else value
+    return fields
+
+
 def _parse_version(name, version_key, raw) -> VersionSpec:
     if not isinstance(raw, dict):
         raise CatalogError(
@@ -98,14 +123,11 @@ def _parse_version(name, version_key, raw) -> VersionSpec:
     # The prose mandates version_name but real catalogs carry app_version;
     # accept either, fall back to the map key.
     display = raw.get("version_name") or raw.get("app_version") or version_key
-    overrides = {}
-    for f in OVERRIDABLE_FIELDS:
-        if f in raw:
-            value = raw[f]
-            if f == "dependencies":
-                value = tuple(value)
-            overrides[f] = value
-    return VersionSpec(version_key=version_key, version_name=display, overrides=overrides)
+    return VersionSpec(
+        version_key=version_key,
+        version_name=display,
+        overrides=_typed_fields(raw, name, version_key),
+    )
 
 
 def _parse_entry(name, raw) -> ApplicationEntry:
@@ -114,26 +136,20 @@ def _parse_entry(name, raw) -> ApplicationEntry:
     for required in ("installer", "versions"):
         if not raw.get(required):
             raise CatalogError(f"entry {name!r}: missing mandatory field {required!r}")
+    if not isinstance(raw["versions"], dict):
+        raise CatalogError(f"entry {name!r}: 'versions' must be an object")
     versions = {
         vk: _parse_version(name, vk, vraw) for vk, vraw in raw["versions"].items()
     }
-    return ApplicationEntry(
-        name=name,
-        installer=raw["installer"],
-        versions=versions,
-        app_name=raw.get("app_name"),
-        base_url=raw.get("base_url"),
-        file=raw.get("file"),
-        dependencies=tuple(raw.get("dependencies", ())),
-    )
+    return ApplicationEntry(name=name, versions=versions, **_typed_fields(raw, name))
 
 
 def parse_catalog(text: str) -> Catalog:
     """Parse and validate a JSON catalog document.
 
     Unknown fields are ignored for forward compatibility.  Raises
-    CatalogError on malformed JSON, missing mandatory fields or
-    dependencies naming applications absent from the catalog.
+    CatalogError on malformed JSON, a missing mandatory field or a field of
+    the wrong JSON type; validate_catalog checks what dependencies name.
     """
     try:
         raw = json.loads(text)

@@ -131,18 +131,6 @@ def fetch_metadata(source: MetadataSource) -> dict:
     return payload
 
 
-def _cache_manifest_path(downloads_dir):
-    return os.path.join(downloads_dir, ".cache.json")
-
-
-def _load_cache(downloads_dir) -> dict:
-    try:
-        with open(_cache_manifest_path(downloads_dir), encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}
-
-
 @contextlib.contextmanager
 def _replacing(dest):
     """Yield a binary temp file beside dest that replaces dest only if the block succeeds."""
@@ -156,23 +144,12 @@ def _replacing(dest):
         raise
 
 
-def _save_cache(downloads_dir, cache):
-    with _replacing(_cache_manifest_path(downloads_dir)) as fh:
-        fh.write(json.dumps(cache).encode("utf-8"))
+def _download(url: str, dest: str) -> str:
+    """Fetch url into dest unless dest exists; returns "cached" or "downloaded".
 
-
-def _download(url: str, dest: str, cache: dict) -> str:
-    """Fetch url into dest unless a cached copy with matching size exists.
-
-    Returns "cached" or "downloaded".
+    dest appears only by renaming a finished download, so its existence is the cache.
     """
-    entry = cache.get(url)
-    if (
-        entry
-        and entry.get("path") == dest
-        and os.path.exists(dest)
-        and os.path.getsize(dest) == entry.get("size")
-    ):
+    if os.path.exists(dest):
         return "cached"
     try:
         with urllib.request.urlopen(url, timeout=URL_TIMEOUT_S) as resp, _replacing(dest) as out:
@@ -183,7 +160,6 @@ def _download(url: str, dest: str, cache: dict) -> str:
                 out.write(chunk)
     except OSError as exc:
         raise DownloadError(f"download of {url} failed: {exc}") from exc
-    cache[url] = {"path": dest, "size": os.path.getsize(dest)}
     return "downloaded"
 
 
@@ -215,17 +191,15 @@ class Contextualizer:
 
         downloads_dir = os.path.join(self.root, "downloads")
         os.makedirs(downloads_dir, exist_ok=True)
-        cache = _load_cache(downloads_dir)
         for index, step in enumerate(plan.steps):
-            result = self._run_step(step, downloads_dir, cache)
+            result = self._run_step(step, downloads_dir)
             report.steps.append(result)
             if result.exit_status != 0:
                 report.failed_at = index
                 break
-        _save_cache(downloads_dir, cache)
         return report
 
-    def _run_step(self, step, downloads_dir, cache) -> StepReport:
+    def _run_step(self, step, downloads_dir) -> StepReport:
         start = time.monotonic()
         archive = None
         download = "skipped"
@@ -249,7 +223,7 @@ class Contextualizer:
                 downloads_dir, url_key + "-" + os.path.basename(step.download_url.rstrip("/"))
             )
             try:
-                download = _download(step.download_url, archive, cache)
+                download = _download(step.download_url, archive)
             except DownloadError as exc:
                 return StepReport(
                     app=step.name,

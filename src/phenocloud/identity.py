@@ -13,6 +13,7 @@ import fcntl
 import hashlib
 import hmac
 import json
+import math
 import os
 import re
 import tempfile
@@ -333,6 +334,8 @@ def issue_token(key: bytes, subject: str, tenant: str, lifetime_s: float, now: f
         raise ValueError("token lifetime must be positive")
     # verify_token re-encodes the times as floats: an int here would not match.
     issued_at, expires_at = float(now), float(now) + float(lifetime_s)
+    if not (math.isfinite(issued_at) and math.isfinite(expires_at)):
+        raise ValueError("token times must be finite")
     body = _canonical_body(subject, tenant, issued_at, expires_at)
     return Token(
         subject=subject,
@@ -368,10 +371,13 @@ def verify_token(key: bytes, encoded: str, now: float):
     # encodings could alias a valid token; accept canonical form only.
     if token.encode() != encoded:
         return None, "malformed"
+    # json reads NaN and Infinity, and a NaN expiry would never compare as past.
+    if not (math.isfinite(token.issued_at) and math.isfinite(token.expires_at)):
+        return None, "malformed"
     # Sign over the received body bytes: any tamper, even one that would
     # re-canonicalize to the same fields, must fail.
     if not hmac.compare_digest(signature, _sign(key, body)):
         return None, "signature"
-    if now >= token.expires_at:
+    if not now < token.expires_at:  # a NaN now counts as expired, not as valid
         return None, "expired"
     return token, None

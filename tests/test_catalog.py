@@ -37,6 +37,16 @@ def test_missing_versions_is_an_error():
         parse_catalog(json.dumps({"App": {"installer": "x.sh"}}))
 
 
+def test_string_dependencies_are_an_error_not_a_list_of_characters():
+    doc = {
+        "A": {"installer": "a.sh", "dependencies": "Bee", "versions": {"1": {}}},
+        "B": {"installer": "b.sh", "versions": {"1": {}}},
+        "e": {"installer": "e.sh", "versions": {"1": {}}},
+    }
+    with pytest.raises(CatalogError, match="'A'.*dependencies"):
+        parse_catalog(json.dumps(doc))
+
+
 def test_malformed_json_reports_position():
     with pytest.raises(CatalogError, match=r"line \d+ column \d+"):
         parse_catalog('{"App": }')

@@ -237,15 +237,39 @@ BAD_INPUTS = [
                  id="pheno-config-not-json"),
     pytest.param(["bench", "analyze", "{empty}"], None, id="bench-analyze-empty"),
     pytest.param(["ctx", "images", "--registry", "{no_id}"], None, id="registry-without-id"),
+    pytest.param(["ctx", "plan", "--catalog", "{versions_list}", "--metadata", "{request_a}"],
+                 None, id="catalog-versions-list"),
+    pytest.param(["ctx", "plan", "--catalog", "{dependencies_number}", "--metadata",
+                  "{request_a}"], None, id="catalog-dependencies-number"),
+    pytest.param(["ctx", "plan", "--catalog", "{dependencies_string}", "--metadata",
+                  "{request_a}"], None, id="catalog-dependencies-string"),
+    pytest.param(["ctx", "plan", "--catalog", "{version_file_number}", "--metadata",
+                  "{request_a}"], None, id="catalog-version-file-number"),
+    pytest.param(["ctx", "run", "--catalog", "{installer_number}", "--metadata", "{request_a}",
+                  "--root", "{root}"], None, id="catalog-installer-number"),
+    pytest.param(["auth", "token", "issue", "--key", "k", "--subject", "s", "--tenant", "t",
+                  "--lifetime", "nan"], None, id="token-lifetime-nan"),
+    pytest.param(["auth", "token", "issue", "--key", "k", "--subject", "s", "--tenant", "t",
+                  "--lifetime", "inf"], None, id="token-lifetime-inf"),
 ]
+
+A_ENTRY = '"installer": "A.sh", "versions": {"1.0": {}}'
 
 
 @pytest.mark.parametrize("argv,pheno_config", BAD_INPUTS)
 def test_bad_input_is_a_one_line_error(argv, pheno_config, identity_config_file, tmp_path,
                                        monkeypatch, capsys):
-    files = {"mapping": identity_config_file, "out": str(tmp_path / "scan.dat")}
+    files = {"mapping": identity_config_file, "out": str(tmp_path / "scan.dat"),
+             "root": str(tmp_path)}
     for name, text in [("not_json", "not json"), ("empty", "{}"), ("no_id", '[{"idx": 1}]'),
-                       ("no_tenant", '{"user_rules": [{"pattern": "u"}]}')]:
+                       ("no_tenant", '{"user_rules": [{"pattern": "u"}]}'),
+                       ("request_a", '{"A": "1.0"}'),
+                       ("versions_list", '{"A": {"installer": "A.sh", "versions": ["1.0"]}}'),
+                       ("dependencies_number", '{"A": {"dependencies": 5, %s}}' % A_ENTRY),
+                       ("dependencies_string", '{"A": {"dependencies": "Bee", %s}}' % A_ENTRY),
+                       ("version_file_number",
+                        '{"A": {"installer": "A.sh", "versions": {"1.0": {"file": 5}}}}'),
+                       ("installer_number", '{"A": {"installer": 5, "versions": {"1.0": {}}}}')]:
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(text)
     monkeypatch.delenv("PHENO_CONFIG", raising=False)

@@ -1,14 +1,18 @@
 import hashlib
 import json
 import os
+import shlex
 import socket
 import stat
+import sys
 import threading
 
 import pytest
 
 from conftest import make_catalog
+import phenocloud
 from phenocloud import contextualize as contextualize_mod
+from phenocloud.catalog import serialize_catalog
 from phenocloud.contextualize import (
     Contextualizer,
     DownloadError,
@@ -20,6 +24,8 @@ from phenocloud.contextualize import (
     filter_ready_images,
 )
 from phenocloud.errors import PhenocloudError
+
+SRC = os.path.dirname(os.path.dirname(phenocloud.__file__))
 
 
 def write_script(scripts_dir, name, body="exit 0\n"):
@@ -322,7 +328,7 @@ def raised_within(limit_s, fn, *args):
 def test_download_from_a_silent_server_times_out(tmp_path, silent_url, monkeypatch):
     monkeypatch.setattr(contextualize_mod, "URL_TIMEOUT_S", 0.5)
     dest = str(tmp_path / "x.tar.gz")
-    exc = raised_within(10, contextualize_mod._download, silent_url, dest, {})
+    exc = raised_within(10, contextualize_mod._download, silent_url, dest)
     assert isinstance(exc, DownloadError)
 
 
@@ -388,6 +394,45 @@ def test_interrupted_download_leaves_no_file_in_downloads(tmp_path, monkeypatch)
     report = Contextualizer(catalog, scripts_dir=str(scripts), root=str(root)).run({"A": "1.0"})
     assert not report.ok
     assert report.steps[0].download == "failed"
-    assert os.listdir(root / "downloads") == [".cache.json"]
-    with open(root / "downloads" / ".cache.json") as fh:
-        assert json.load(fh) == {}
+    assert os.listdir(root / "downloads") == []
+
+
+def test_cache_hit_does_not_depend_on_how_root_is_spelled(tmp_path, monkeypatch):
+    catalog = catalog_with_archives(tmp_path, {"A": []})
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    write_script(scripts, "A.sh")
+    (tmp_path / "root").mkdir()
+    monkeypatch.chdir(tmp_path)
+    downloads = []
+    for root in (str(tmp_path / "root"), "root", "./root"):
+        report = Contextualizer(catalog, scripts_dir=str(scripts), root=root).run({"A": "1.0"})
+        assert report.ok, [s.output for s in report.steps]
+        downloads += [s.download for s in report.steps]
+    assert downloads == ["downloaded", "cached", "cached"]
+
+
+def test_runs_sharing_a_root_keep_each_others_archives(tmp_path):
+    catalog = catalog_with_archives(tmp_path, {"A": [], "B": []})
+    catalog_file = tmp_path / "catalog.json"
+    catalog_file.write_text(serialize_catalog(catalog))
+    (tmp_path / "b.json").write_text('{"B": "1.0"}')
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    root = tmp_path / "root"
+    root.mkdir()
+    # A's installer contextualizes B on the same root while A's run is open.
+    write_script(scripts, "A.sh", (
+        f"PYTHONPATH={shlex.quote(SRC)} timeout 60 {shlex.quote(sys.executable)}"
+        f" -m phenocloud.cli ctx run --catalog {shlex.quote(str(catalog_file))}"
+        f" --metadata {shlex.quote(str(tmp_path / 'b.json'))}"
+        f" --root {shlex.quote(str(root))} --scripts {shlex.quote(str(scripts))}\n"
+    ))
+    write_script(scripts, "B.sh")
+    ctx = Contextualizer(catalog, scripts_dir=str(scripts), root=str(root))
+    outer = ctx.run({"A": "1.0"})
+    assert outer.ok, [s.output for s in outer.steps]
+    write_script(scripts, "A.sh")
+    report = ctx.run({"A": "1.0", "B": "1.0"})
+    assert report.ok
+    assert [s.download for s in report.steps] == ["cached", "cached"]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phenocloud
+from phenocloud import identity as identity_mod
 from phenocloud.identity import (
     Assertion,
     ConfigError,
@@ -216,6 +217,25 @@ def test_token_malformed():
 def test_token_nonpositive_lifetime():
     with pytest.raises(ValueError):
         issue_token(KEY, "s", "t", 0, now=NOW)
+
+
+@pytest.mark.parametrize("lifetime,now", [(60, float("nan")), (1e308, 1e308)])
+def test_token_with_a_non_finite_time_is_refused(lifetime, now):
+    with pytest.raises(ValueError):
+        issue_token(KEY, "s", "t", lifetime, now=now)
+
+
+def test_token_verified_at_a_nan_time_is_expired():
+    token = issue_token(KEY, "s", "t", 60, now=NOW)
+    assert verify_token(KEY, token.encode(), now=float("nan")) == (None, "expired")
+
+
+@pytest.mark.parametrize("issued_at,expires_at", [(NOW, float("nan")), (NOW, float("inf")),
+                                                  (float("nan"), NOW + 60)])
+def test_signed_token_with_a_non_finite_time_is_malformed(issued_at, expires_at):
+    body = identity_mod._canonical_body("s", "t", issued_at, expires_at)
+    token = identity_mod.Token("s", "t", issued_at, expires_at, identity_mod._sign(KEY, body))
+    assert verify_token(KEY, token.encode(), now=1e300) == (None, "malformed")
 
 
 def test_every_single_byte_flip_is_rejected():

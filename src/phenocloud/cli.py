@@ -45,7 +45,10 @@ def _setting(args, config, flag, key=None):
 
 def _read(path):
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise PhenocloudError(f"{path} is not UTF-8: {exc}") from exc
 
 
 def _read_json(path):
@@ -102,7 +105,7 @@ def cmd_ctx_run(args, config):
     if args.pretty:
         for step in report.steps:
             status = "ok" if step.exit_status == 0 else (
-                "planned" if report.dry_run else "FAILED")
+                "planned" if step.download == "dry-run" else "FAILED")
             print(f"{step.app:<20} {step.version:<10} {step.download:<12} {status}")
         print("overall:", "success" if report.ok else f"failed-at({report.failed_at})")
     else:
@@ -230,6 +233,8 @@ def cmd_scan_run(args, config):
     if args.kernel == "builtin":
         kernel, command = "builtin", None
     elif args.kernel.startswith("cmd:"):
+        if args.work_units:
+            raise PhenocloudError("--work-units applies to the builtin kernel only")
         kernel, command = "command", args.kernel[4:]
     else:
         raise PhenocloudError(f"unknown kernel {args.kernel!r}")
@@ -260,7 +265,9 @@ def cmd_scan_run(args, config):
 def cmd_bench_run(args, config):
     from phenocloud import bench as bench_mod
     workload = bench_mod.Workload.from_spec(args.workload)
-    if args.work_units is not None and workload.command is None:
+    if args.work_units is not None:
+        if workload.command is not None:
+            raise PhenocloudError("--work-units applies to the builtin workload only")
         workload = bench_mod.Workload(work_units=args.work_units)
     run = bench_mod.run_concurrent(workload, args.processes)
     text = run.to_json()

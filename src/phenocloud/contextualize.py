@@ -3,7 +3,8 @@ build an install plan, download archives and run installer scripts in order.
 
 Execution is sandboxed under a caller-supplied root directory; scripts run
 unprivileged with APP_NAME / APP_VERSION / APP_ARCHIVE / INSTALL_PREFIX in
-their environment.  Dry-run mode resolves everything and touches nothing.
+their environment.  A dry run resolves the plan and refuses an installer outside
+the scripts directory, as a real run does, but touches nothing.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ def fetch_metadata(source: MetadataSource) -> dict:
                 text = resp.read().decode("utf-8")
     except OSError as exc:
         raise FetchError(f"cannot fetch metadata from {source.location}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MetadataFormatError(f"metadata from {source.location} is not UTF-8: {exc}") from exc
 
     try:
         payload = json.loads(text)
@@ -175,47 +178,38 @@ class Contextualizer:
     def run(self, request: dict, dry_run: bool = False) -> ExecutionReport:
         plan = self.plan(request)
         report = ExecutionReport(dry_run=dry_run)
-        if dry_run:
-            for step in plan.steps:
-                report.steps.append(
-                    StepReport(
-                        app=step.name,
-                        version=step.version_key,
-                        download="dry-run",
-                        download_url=step.download_url,
-                        exit_status=None,
-                        duration_s=0.0,
-                    )
-                )
-            return report
-
-        downloads_dir = os.path.join(self.root, "downloads")
-        os.makedirs(downloads_dir, exist_ok=True)
-        for index, step in enumerate(plan.steps):
-            result = self._run_step(step, downloads_dir)
-            report.steps.append(result)
-            if result.exit_status != 0:
-                report.failed_at = index
-                break
-        return report
-
-    def _run_step(self, step, downloads_dir) -> StepReport:
-        start = time.monotonic()
-        archive = None
-        download = "skipped"
-        installer = step.effective["installer"]
         scripts_dir = os.path.realpath(self.scripts_dir)
-        script = os.path.realpath(os.path.join(scripts_dir, installer))
-        if os.path.commonpath([scripts_dir, script]) != scripts_dir:
-            return StepReport(
+        downloads_dir = os.path.join(self.root, "downloads")
+        if not dry_run:
+            os.makedirs(downloads_dir, exist_ok=True)
+        for index, step in enumerate(plan.steps):
+            start = time.monotonic()
+            download, status, output = self._run_step(step, scripts_dir, downloads_dir, dry_run)
+            report.steps.append(StepReport(
                 app=step.name,
                 version=step.version_key,
                 download=download,
                 download_url=step.download_url,
-                exit_status=None,
-                duration_s=time.monotonic() - start,
-                output=f"installer {installer!r} resolves outside scripts dir {scripts_dir}",
-            )
+                exit_status=status,
+                duration_s=0.0 if dry_run else time.monotonic() - start,
+                output=output,
+            ))
+            if download != "dry-run" and status != 0:
+                report.failed_at = index
+                break
+        return report
+
+    def _run_step(self, step, scripts_dir, downloads_dir, dry_run):
+        """(download, exit_status, output) of a step; a dry run stops after confinement."""
+        installer = step.effective["installer"]
+        script = os.path.realpath(os.path.join(scripts_dir, installer))
+        if os.path.commonpath([scripts_dir, script]) != scripts_dir:
+            reason = f"installer {installer!r} resolves outside scripts dir {scripts_dir}"
+            return "skipped", None, reason
+        if dry_run:
+            return "dry-run", None, ""
+        archive = ""
+        download = "skipped"
         if step.download_url:
             # Keyed by URL, so archives of one basename from two sites stay apart.
             url_key = hashlib.sha256(step.download_url.encode("utf-8")).hexdigest()[:16]
@@ -225,22 +219,14 @@ class Contextualizer:
             try:
                 download = _download(step.download_url, archive)
             except DownloadError as exc:
-                return StepReport(
-                    app=step.name,
-                    version=step.version_key,
-                    download="failed",
-                    download_url=step.download_url,
-                    exit_status=None,
-                    duration_s=time.monotonic() - start,
-                    output=str(exc),
-                )
+                return "failed", None, str(exc)
 
         prefix = os.path.join(self.root, "apps", step.name, step.version_key)
         env = dict(os.environ)
         env.update(
             APP_NAME=step.name,
             APP_VERSION=step.version_key,
-            APP_ARCHIVE=archive or "",
+            APP_ARCHIVE=archive,
             INSTALL_PREFIX=prefix,
         )
         proc = subprocess.run(
@@ -250,12 +236,4 @@ class Contextualizer:
             capture_output=True,
             text=True,
         )
-        return StepReport(
-            app=step.name,
-            version=step.version_key,
-            download=download,
-            download_url=step.download_url,
-            exit_status=proc.returncode,
-            duration_s=time.monotonic() - start,
-            output=proc.stdout + proc.stderr,
-        )
+        return download, proc.returncode, proc.stdout + proc.stderr

@@ -56,6 +56,15 @@ class UserRule:
     auto_create: bool = False
 
 
+def _rule_fields(rule, key, where):
+    """(rule[key], tenant, auto_create) of a JSON rule; a ConfigError if a type is wrong."""
+    auto_create = rule.get("auto_create", False)
+    if not (isinstance(rule[key], str) and isinstance(rule["tenant"], str)
+            and isinstance(auto_create, bool)):
+        raise ConfigError(f"{where}: {key} and tenant must be strings, auto_create a boolean")
+    return rule[key], rule["tenant"], auto_create
+
+
 class MappingConfig:
     """Ordered mapping rules; first match wins within each rule family."""
 
@@ -78,12 +87,12 @@ class MappingConfig:
             raw = json.loads(text)
             return cls(
                 vo_rules=[
-                    VoRule(r["vo"], r["tenant"], bool(r.get("auto_create", False)))
-                    for r in raw.get("vo_rules", [])
+                    VoRule(*_rule_fields(r, "vo", f"vo_rules[{i}]"))
+                    for i, r in enumerate(raw.get("vo_rules", []))
                 ],
                 user_rules=[
-                    UserRule(r["pattern"], r["tenant"], bool(r.get("auto_create", False)))
-                    for r in raw.get("user_rules", [])
+                    UserRule(*_rule_fields(r, "pattern", f"user_rules[{i}]"))
+                    for i, r in enumerate(raw.get("user_rules", []))
                 ],
             )
         except json.JSONDecodeError as exc:

@@ -251,6 +251,14 @@ BAD_INPUTS = [
                   "--lifetime", "nan"], None, id="token-lifetime-nan"),
     pytest.param(["auth", "token", "issue", "--key", "k", "--subject", "s", "--tenant", "t",
                   "--lifetime", "inf"], None, id="token-lifetime-inf"),
+    pytest.param(["auth", "map-vo", "--config", "{auto_create_string}", "--dn", "/CN=a",
+                  "--vo", "pheno"], None, id="mapping-auto-create-string"),
+    pytest.param(["auth", "map-vo", "--config", "{tenant_number}", "--dn", "/CN=a",
+                  "--vo", "pheno"], None, id="mapping-tenant-number"),
+    pytest.param(["bench", "run", "--processes", "1", "--workload", "cmd:true",
+                  "--work-units", "5"], None, id="bench-work-units-command"),
+    pytest.param(["scan", "run", "--steps", "2", "--kernel", "cmd:sed 's/$/ ALLOWED/'",
+                  "--work-units", "7", "--out", "{out}"], None, id="scan-work-units-command"),
 ]
 
 A_ENTRY = '"installer": "A.sh", "versions": {"1.0": {}}'
@@ -269,7 +277,11 @@ def test_bad_input_is_a_one_line_error(argv, pheno_config, identity_config_file,
                        ("dependencies_string", '{"A": {"dependencies": "Bee", %s}}' % A_ENTRY),
                        ("version_file_number",
                         '{"A": {"installer": "A.sh", "versions": {"1.0": {"file": 5}}}}'),
-                       ("installer_number", '{"A": {"installer": 5, "versions": {"1.0": {}}}}')]:
+                       ("installer_number", '{"A": {"installer": 5, "versions": {"1.0": {}}}}'),
+                       ("auto_create_string",
+                        '{"vo_rules": [{"vo": "pheno", "tenant": "t", "auto_create": "false"}]}'),
+                       ("tenant_number",
+                        '{"vo_rules": [{"vo": "pheno", "tenant": 5, "auto_create": true}]}')]:
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(text)
     monkeypatch.delenv("PHENO_CONFIG", raising=False)
@@ -281,6 +293,23 @@ def test_bad_input_is_a_one_line_error(argv, pheno_config, identity_config_file,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["ctx", "plan", "--catalog", "{catalog}", "--metadata", "{bad}"], "metadata"),
+    (["ctx", "plan", "--catalog", "{bad}", "--metadata", "{metadata}"], "catalog"),
+    (["auth", "map-user", "--config", "{bad}", "--user", "u"], "mapping"),
+], ids=["metadata", "catalog", "mapping-config"])
+def test_input_file_not_utf8_is_an_error_naming_the_file(argv, bad, catalog_file,
+                                                         metadata_file, tmp_path, capsys):
+    path = tmp_path / f"{bad}-latin1.json"
+    path.write_bytes(b'{"A": "caf\xe9 \xff"}')
+    files = {"catalog": catalog_file, "metadata": metadata_file, "bad": str(path)}
+    code = dispatch([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
 
 
 NO_NUMPY = (
@@ -334,6 +363,51 @@ def test_ctx_run_failed_step_shows_the_tail_of_its_output(tmp_path, capsys):
     assert failed_step["exit_status"] == 3
     assert len(failed_step["output"]) == 2000
     assert failed_step["output"].endswith("configure: no fortran compiler found\n")
+
+
+def write_two_app_setup(tmp_path, a_installer="A.sh"):
+    """Catalog with B depending on A, metadata asking for B, A's installer succeeding and B's
+    failing; returns the ctx run arguments up to --dry-run / --pretty."""
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({
+        name: {"installer": installer, "dependencies": deps,
+               "versions": {"1.0": {"version_name": "1.0"}}}
+        for name, installer, deps in (("A", a_installer, []), ("B", "B.sh", ["A"]))
+    }))
+    metadata = tmp_path / "metadata.json"
+    metadata.write_text('{"B": "1.0"}')
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    (scripts / "A.sh").write_text("echo fine\n")
+    (scripts / "B.sh").write_text("exit 3\n")
+    root = tmp_path / "root"
+    root.mkdir()
+    return ["ctx", "run", "--catalog", str(catalog), "--metadata", str(metadata),
+            "--root", str(root), "--scripts", str(scripts)]
+
+
+@pytest.mark.parametrize("dry_run,code,lines", [
+    (True, 0, [["A", "1.0", "dry-run", "planned"], ["B", "1.0", "dry-run", "planned"],
+               ["overall:", "success"]]),
+    (False, 1, [["A", "1.0", "skipped", "ok"], ["B", "1.0", "skipped", "FAILED"],
+                ["overall:", "failed-at(1)"]]),
+], ids=["dry-run", "run"])
+def test_ctx_run_pretty_prints_a_line_per_step_and_the_outcome(dry_run, code, lines, tmp_path,
+                                                                capsys):
+    argv = write_two_app_setup(tmp_path) + ["--pretty"] + (["--dry-run"] if dry_run else [])
+    assert dispatch(argv) == code
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == lines
+
+
+def test_ctx_dry_run_fails_at_an_installer_outside_the_scripts_dir(tmp_path, capsys):
+    (tmp_path / "evil.sh").write_text(f"touch {tmp_path / 'escaped'}\n")
+    argv = write_two_app_setup(tmp_path, a_installer="../evil.sh") + ["--dry-run", "--pretty"]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{'A':<20} {'1.0':<10} {'skipped':<12} FAILED", "overall: failed-at(0)"]
+    assert sorted(os.listdir(tmp_path)) == ["catalog.json", "evil.sh", "metadata.json",
+                                            "root", "scripts"]
+    assert os.listdir(tmp_path / "root") == []
 
 
 NOT_FOR_TOKEN_CHECKS = (

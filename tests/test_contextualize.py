@@ -99,6 +99,13 @@ def test_fetch_metadata_non_string_values_rejected(tmp_path):
         fetch_metadata(MetadataSource("local-file", str(meta)))
 
 
+def test_fetch_metadata_not_utf8_is_format_error_naming_the_file(tmp_path):
+    meta = tmp_path / "meta.json"
+    meta.write_bytes(b'{"FormCalc": "7.4\xff"}')
+    with pytest.raises(MetadataFormatError, match=str(meta)):
+        fetch_metadata(MetadataSource("local-file", str(meta)))
+
+
 def test_fetch_metadata_unreachable(tmp_path):
     with pytest.raises(FetchError):
         fetch_metadata(MetadataSource("local-file", str(tmp_path / "missing")))
@@ -254,8 +261,11 @@ def one_app_catalog(installer):
     ))
 
 
-@pytest.mark.parametrize("where", ["parent-dir", "absolute", "symlink"])
-def test_installer_outside_scripts_dir_never_runs(tmp_path, where):
+@pytest.mark.parametrize("where,dry_run", [
+    pytest.param(where, dry_run, id=where + ("-dry-run" if dry_run else ""))
+    for dry_run in (False, True) for where in ("parent-dir", "absolute", "symlink")
+])
+def test_installer_outside_scripts_dir_never_runs(tmp_path, where, dry_run):
     scripts = tmp_path / "scripts"
     scripts.mkdir()
     marker = tmp_path / "escaped"
@@ -266,7 +276,7 @@ def test_installer_outside_scripts_dir_never_runs(tmp_path, where):
     root = tmp_path / "root"
     root.mkdir()
     ctx = Contextualizer(one_app_catalog(installer), scripts_dir=str(scripts), root=str(root))
-    report = ctx.run({"A": "1.0"})
+    report = ctx.run({"A": "1.0"}, dry_run=dry_run)
     assert not marker.exists()
     assert not report.ok and report.failed_at == 0
     assert report.steps[0].exit_status is None

@@ -8,6 +8,7 @@ that individual versions may override.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -35,20 +36,6 @@ class ApplicationEntry:
     base_url: str | None = None
     file: str | None = None
     dependencies: tuple = ()
-    # The defaults plus every version's override: every edge some version
-    # selection can give this application.
-    all_dependencies: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        overrides = [
-            spec.overrides["dependencies"]
-            for spec in self.versions.values()
-            if "dependencies" in spec.overrides
-        ]
-        union = self.dependencies
-        if overrides:
-            union = tuple(dict.fromkeys(chain(union, *overrides)))
-        object.__setattr__(self, "all_dependencies", union)
 
 
 @dataclass(frozen=True)
@@ -65,91 +52,91 @@ class ResolvedApp:
         return self.effective["dependencies"]
 
 
-class Catalog:
-    """Immutable mapping of application name -> ApplicationEntry."""
+# An entry as parse_catalog checked it: the application-level fields in
+# OVERRIDABLE_FIELDS order; versions, version_key -> (version_name, field,
+# value, field, value, ...) for the version's overrides; and edges, the
+# dependencies under any version.
+_Checked = namedtuple("_Checked", OVERRIDABLE_FIELDS + ("versions", "edges"))
 
-    def __init__(self, entries: dict):
-        self._entries = dict(entries)
+
+class Catalog:
+    """Immutable mapping of application name -> ApplicationEntry.
+
+    Holds every entry as parse_catalog checked it and builds an
+    application's ApplicationEntry the first time it is asked for.
+    """
+
+    def __init__(self, checked: dict):
+        self._checked = checked
+        self._entries = {}
 
     def __contains__(self, name):
-        return name in self._entries
+        return name in self._checked
 
-    def __getitem__(self, name) -> ApplicationEntry:
+    def _app(self, name) -> _Checked:
         try:
-            return self._entries[name]
+            return self._checked[name]
         except KeyError:
             raise NotFoundError(f"application {name!r} not in catalog") from None
 
+    def __getitem__(self, name) -> ApplicationEntry:
+        entry = self._entries.get(name)
+        if entry is None:
+            app = self._app(name)
+            versions = {
+                vk: VersionSpec(vk, spec[0], dict(zip(spec[1::2], spec[2::2])))
+                for vk, spec in app.versions.items()
+            }
+            # app[:4] is app_name, base_url, file, dependencies.
+            entry = self._entries[name] = ApplicationEntry(name, app.installer, versions, *app[:4])
+        return entry
+
+    def version_keys(self, name):
+        """The application's version keys."""
+        return self._app(name).versions.keys()
+
+    def edges(self, name) -> tuple:
+        """The application's dependencies under any of its versions."""
+        return self._app(name).edges
+
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self._checked)
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._checked)
+
+    def _fields(self):
+        # Edges are left out: their order follows the versions', which equality ignores.
+        return {name: app[:-1] for name, app in self._checked.items()}
 
     def __eq__(self, other):
-        return isinstance(other, Catalog) and self._entries == other._entries
+        return isinstance(other, Catalog) and self._fields() == other._fields()
 
 
-def _typed_fields(raw, name, version_key=None) -> dict:
-    """The overridable fields raw holds, dependencies as a tuple.
-
-    Raises CatalogError naming the entry (and version) for a field of the
-    wrong JSON type.
-    """
-    fields = {}
-    for f in OVERRIDABLE_FIELDS:
-        if f not in raw:
-            continue
-        value = raw[f]
-        if f == "dependencies":
-            ok = isinstance(value, list)
-            for dep in value if ok else ():  # all() over a generator costs 3x on lists this short
-                ok = ok and isinstance(dep, str)
-        else:
-            ok = isinstance(value, str)
-        if not ok:
-            version = "" if version_key is None else f": version {version_key!r}"
-            kind = "a list of strings" if f == "dependencies" else "a string"
-            raise CatalogError(f"entry {name!r}{version}: {f!r} must be {kind}")
-        fields[f] = tuple(value) if f == "dependencies" else value
-    return fields
-
-
-def _parse_version(name, version_key, raw) -> VersionSpec:
-    if not isinstance(raw, dict):
-        raise CatalogError(
-            f"entry {name!r}: version {version_key!r} must be an object"
-        )
-    # The prose mandates version_name but real catalogs carry app_version;
-    # accept either, fall back to the map key.
-    display = raw.get("version_name") or raw.get("app_version") or version_key
-    return VersionSpec(
-        version_key=version_key,
-        version_name=display,
-        overrides=_typed_fields(raw, name, version_key),
-    )
-
-
-def _parse_entry(name, raw) -> ApplicationEntry:
-    if not isinstance(raw, dict):
-        raise CatalogError(f"entry {name!r} must be a JSON object")
-    for required in ("installer", "versions"):
-        if not raw.get(required):
-            raise CatalogError(f"entry {name!r}: missing mandatory field {required!r}")
-    if not isinstance(raw["versions"], dict):
-        raise CatalogError(f"entry {name!r}: 'versions' must be an object")
-    versions = {
-        vk: _parse_version(name, vk, vraw) for vk, vraw in raw["versions"].items()
-    }
-    return ApplicationEntry(name=name, versions=versions, **_typed_fields(raw, name))
+def _typed(raw, f, name, version_key=None):
+    """raw[f], a dependencies list as a tuple; CatalogError naming the entry
+    (and version) if the value has the wrong JSON type."""
+    value = raw[f]
+    if f == "dependencies":
+        ok = isinstance(value, list)
+        for dep in value if ok else ():  # all() over a generator costs 3x on lists this short
+            ok = ok and isinstance(dep, str)
+        if ok:
+            return tuple(value)
+    elif isinstance(value, str):
+        return value
+    version = "" if version_key is None else f": version {version_key!r}"
+    kind = "a list of strings" if f == "dependencies" else "a string"
+    raise CatalogError(f"entry {name!r}{version}: {f!r} must be {kind}")
 
 
 def parse_catalog(text: str) -> Catalog:
-    """Parse and validate a JSON catalog document.
+    """Parse and check a JSON catalog document in one pass over its entries.
 
     Unknown fields are ignored for forward compatibility.  Raises
     CatalogError on malformed JSON, a missing mandatory field or a field of
-    the wrong JSON type; validate_catalog checks what dependencies name.
+    the wrong JSON type in any entry; validate_catalog checks what
+    dependencies name.
     """
     try:
         raw = json.loads(text)
@@ -159,45 +146,66 @@ def parse_catalog(text: str) -> Catalog:
         ) from exc
     if not isinstance(raw, dict):
         raise CatalogError("catalog must be a JSON object")
-    entries = {name: _parse_entry(name, body) for name, body in raw.items()}
-    return Catalog(entries)
+    checked = {}
+    for name, body in raw.items():
+        if not isinstance(body, dict):
+            raise CatalogError(f"entry {name!r} must be a JSON object")
+        for required in ("installer", "versions"):
+            if not body.get(required):
+                raise CatalogError(f"entry {name!r}: missing mandatory field {required!r}")
+        versions = body["versions"]
+        if not isinstance(versions, dict):
+            raise CatalogError(f"entry {name!r}: 'versions' must be an object")
+        overridden = []  # the versions' dependencies overrides
+        for vk, vraw in versions.items():  # each value becomes its checked tuple
+            if not isinstance(vraw, dict):
+                raise CatalogError(f"entry {name!r}: version {vk!r} must be an object")
+            for f in ("version_name", "app_version"):
+                if f in vraw:
+                    _typed(vraw, f, name, vk)
+            # The prose mandates version_name but real catalogs carry
+            # app_version; accept either, fall back to the map key.
+            spec = [vraw.get("version_name") or vraw.get("app_version") or vk]
+            for f in OVERRIDABLE_FIELDS:
+                if f in vraw:
+                    value = _typed(vraw, f, name, vk)
+                    spec += (f, value)
+                    if f == "dependencies":
+                        overridden.append(value)
+            versions[vk] = tuple(spec)
+        app_name, base_url, file, deps, installer = [
+            _typed(body, f, name) if f in body else None for f in OVERRIDABLE_FIELDS
+        ]
+        deps = deps or ()
+        edges = tuple(dict.fromkeys(chain(deps, *overridden))) if overridden else deps
+        checked[name] = _Checked(app_name, base_url, file, deps, installer, versions, edges)
+    return Catalog(checked)
 
 
 def validate_catalog(catalog: Catalog):
     """Check that every dependency of every entry names a catalog key.
 
-    Mandatory fields are already enforced at parse time; dependency
-    existence is only checkable against the whole catalog, so it lives
-    here.  Raises CatalogError on the first dangling dependency.
+    Mandatory fields and types are already enforced at parse time;
+    dependency existence is only checkable against the whole catalog, so
+    it lives here.  Raises CatalogError on the first dangling dependency.
     """
-    for name in catalog:
-        for dep in catalog[name].all_dependencies:
-            if dep not in catalog:
-                raise CatalogError(
-                    f"entry {name!r}: dependency {dep!r} not in catalog"
-                )
+    checked = catalog._checked
+    for name, app in checked.items():
+        for dep in app.edges:
+            if dep not in checked:
+                raise CatalogError(f"entry {name!r}: dependency {dep!r} not in catalog")
 
 
 def serialize_catalog(catalog: Catalog) -> str:
     """Inverse of parse_catalog for the fields this module understands."""
     out = {}
-    for name in catalog:
-        entry = catalog[name]
-        body = {"installer": entry.installer}
-        if entry.app_name is not None:
-            body["app_name"] = entry.app_name
-        if entry.base_url is not None:
-            body["base_url"] = entry.base_url
-        if entry.file is not None:
-            body["file"] = entry.file
-        if entry.dependencies:
-            body["dependencies"] = list(entry.dependencies)
-        body["versions"] = {}
-        for vk, spec in entry.versions.items():
-            vbody = {"version_name": spec.version_name}
-            for f, value in spec.overrides.items():
-                vbody[f] = list(value) if f == "dependencies" else value
-            body["versions"][vk] = vbody
+    for name, app in catalog._checked.items():
+        # Unset defaults and empty default dependencies are left out.
+        body = {f: value for f, value in zip(OVERRIDABLE_FIELDS, app) if value not in (None, ())}
+        body["versions"] = {
+            vk: {"version_name": spec[0], **dict(zip(spec[1::2], spec[2::2]))}
+            for vk, spec in app.versions.items()
+        }
         out[name] = body
     return json.dumps(out, indent=2, sort_keys=True)
 
@@ -213,21 +221,13 @@ def join_url(base_url: str | None, filename: str | None) -> str | None:
 
 def effective_version(catalog: Catalog, name: str, version_key: str) -> ResolvedApp:
     """Merge an application's defaults with one version's overrides."""
-    entry = catalog[name]
-    if version_key not in entry.versions:
-        raise NotFoundError(
-            f"application {name!r} has no version {version_key!r}"
-        )
-    spec = entry.versions[version_key]
-    effective = {
-        "app_name": entry.app_name,
-        "base_url": entry.base_url,
-        "file": entry.file,
-        "dependencies": entry.dependencies,
-        "installer": entry.installer,
-    }
-    effective.update(spec.overrides)
-    effective["version_name"] = spec.version_name
+    app = catalog._app(name)
+    spec = app.versions.get(version_key)
+    if spec is None:
+        raise NotFoundError(f"application {name!r} has no version {version_key!r}")
+    effective = dict(zip(OVERRIDABLE_FIELDS, app))
+    effective.update(zip(spec[1::2], spec[2::2]))
+    effective["version_name"] = spec[0]
     return ResolvedApp(
         name=name,
         version_key=version_key,

@@ -170,7 +170,7 @@ class Contextualizer:
     def __init__(self, catalog: Catalog, scripts_dir: str, root: str):
         self.catalog = catalog
         self.scripts_dir = scripts_dir
-        self.root = root
+        self.root = os.path.abspath(root)  # installers run with it as their cwd
 
     def plan(self, request: dict) -> InstallPlan:
         return resolve(self.catalog, request)

@@ -26,7 +26,7 @@ class InstallPlan:
 
 def _default_version(catalog: Catalog, name: str) -> str:
     # Dependencies carry no version; pick the greatest version key as "latest".
-    return max(catalog[name].versions)
+    return max(catalog.version_keys(name))
 
 
 def _select_versions(catalog: Catalog, request: dict) -> dict:
@@ -39,7 +39,7 @@ def _select_versions(catalog: Catalog, request: dict) -> dict:
     for name, version_key in request.items():
         if name not in catalog:
             raise NotFoundError(f"requested application {name!r} not in catalog")
-        if version_key not in catalog[name].versions:
+        if version_key not in catalog.version_keys(name):
             raise NotFoundError(
                 f"requested version {version_key!r} of {name!r} does not exist"
             )
@@ -212,7 +212,7 @@ def check_cycles(catalog: Catalog) -> list:
     names = sorted(catalog)
     rank = {name: i for i, name in enumerate(names)}
     succ = [
-        sorted({rank[d] for d in catalog[name].all_dependencies if d in rank})
+        sorted({rank[d] for d in catalog.edges(name) if d in rank})
         for name in names
     ]
     # Cycles anchored at a component's smallest node lie inside that

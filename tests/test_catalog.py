@@ -47,6 +47,29 @@ def test_string_dependencies_are_an_error_not_a_list_of_characters():
         parse_catalog(json.dumps(doc))
 
 
+@pytest.mark.parametrize("version", [
+    {"version_name": 5},
+    {"app_version": ["x"]},
+    {"version_name": "", "app_version": 5},
+    {"version_name": None, "app_version": "1"},
+])
+def test_version_name_and_app_version_must_be_strings(version):
+    doc = {"App": {"installer": "x.sh", "versions": {"1": version}}}
+    with pytest.raises(
+        CatalogError, match=r"entry 'App': version '1': '(version_name|app_version)' must be a string"
+    ):
+        parse_catalog(json.dumps(doc))
+
+
+def test_type_error_in_an_entry_no_request_reaches_is_raised_by_parse():
+    doc = {
+        "A": {"installer": "a.sh", "versions": {"1": {}}},
+        "Z": {"installer": "z.sh", "versions": {"1": {"dependencies": ["A", 5]}}},
+    }
+    with pytest.raises(CatalogError, match="entry 'Z': version '1': 'dependencies'"):
+        parse_catalog(json.dumps(doc))
+
+
 def test_malformed_json_reports_position():
     with pytest.raises(CatalogError, match=r"line \d+ column \d+"):
         parse_catalog('{"App": }')

@@ -245,6 +245,8 @@ BAD_INPUTS = [
                   "{request_a}"], None, id="catalog-dependencies-string"),
     pytest.param(["ctx", "plan", "--catalog", "{version_file_number}", "--metadata",
                   "{request_a}"], None, id="catalog-version-file-number"),
+    pytest.param(["ctx", "plan", "--catalog", "{version_name_number}", "--metadata",
+                  "{request_a}"], None, id="catalog-version-name-number"),
     pytest.param(["ctx", "run", "--catalog", "{installer_number}", "--metadata", "{request_a}",
                   "--root", "{root}"], None, id="catalog-installer-number"),
     pytest.param(["auth", "token", "issue", "--key", "k", "--subject", "s", "--tenant", "t",
@@ -277,6 +279,8 @@ def test_bad_input_is_a_one_line_error(argv, pheno_config, identity_config_file,
                        ("dependencies_string", '{"A": {"dependencies": "Bee", %s}}' % A_ENTRY),
                        ("version_file_number",
                         '{"A": {"installer": "A.sh", "versions": {"1.0": {"file": 5}}}}'),
+                       ("version_name_number",
+                        '{"A": {"installer": "A.sh", "versions": {"1.0": {"version_name": 5}}}}'),
                        ("installer_number", '{"A": {"installer": 5, "versions": {"1.0": {}}}}'),
                        ("auto_create_string",
                         '{"vo_rules": [{"vo": "pheno", "tenant": "t", "auto_create": "false"}]}'),

@@ -295,6 +295,25 @@ def test_relative_scripts_dir_is_read_from_the_working_directory(tmp_path, monke
     assert report.ok, [s.output for s in report.steps]
 
 
+def test_relative_root_is_read_from_the_working_directory(tmp_path, monkeypatch):
+    # The installer runs inside the root, so APP_ARCHIVE and INSTALL_PREFIX
+    # must not be relative to the caller's directory.
+    catalog = catalog_with_archives(tmp_path, {"A": []})
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    write_script(scripts, "A.sh", (
+        'test -f "$APP_ARCHIVE" || { echo "no archive at $APP_ARCHIVE from $(pwd)"; exit 1; }\n'
+        'mkdir -p "$INSTALL_PREFIX" && cp "$APP_ARCHIVE" "$INSTALL_PREFIX/installed"\n'
+    ))
+    (tmp_path / "root").mkdir()
+    monkeypatch.chdir(tmp_path)
+    report = Contextualizer(catalog, scripts_dir=str(scripts), root="root").run({"A": "1.0"})
+    assert report.ok, [s.output for s in report.steps]
+    installed = tmp_path / "root" / "apps" / "A" / "1.0" / "installed"
+    assert installed.read_bytes() == b"payload of A"
+    assert not (tmp_path / "root" / "root").exists()
+
+
 def test_failed_download_reports_its_reason(tmp_path):
     catalog = catalog_with_archives(tmp_path, {"A": []})
     os.unlink(tmp_path / "archives" / "A.tar.gz")

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_catalog
-from phenocloud.catalog import parse_catalog
+from phenocloud import catalog as catalog_mod
+from phenocloud.catalog import (
+    OVERRIDABLE_FIELDS,
+    effective_version,
+    parse_catalog,
+    serialize_catalog,
+    validate_catalog,
+)
 from phenocloud.errors import CycleError, DanglingDependencyError, NotFoundError
 from phenocloud.resolver import check_cycles, resolve
 
@@ -260,8 +267,16 @@ def test_resolve_deep_cyclic_chain_raises_cycle_error():
 def reference_check_cycles(catalog) -> list:
     """The original enumerator: every elementary cycle as a closed path,
     anchored at its smallest node, found by a DFS over sorted neighbours
-    that never descends below the anchor.  Exponential, small graphs only."""
-    edges = {name: sorted(set(catalog[name].dependencies)) for name in catalog}
+    that never descends below the anchor.  Exponential, small graphs only.
+    An application's edges are its dependencies under any of its versions,
+    read from its ApplicationEntry."""
+    edges = {}
+    for name in catalog:
+        entry = catalog[name]
+        union = set(entry.dependencies)
+        for spec in entry.versions.values():
+            union.update(spec.overrides.get("dependencies", ()))
+        edges[name] = sorted(union)
     cycles = []
     for anchor in sorted(edges):
         path = [anchor]
@@ -317,3 +332,85 @@ def test_property_reported_cycle_is_a_closed_path_of_edges(deps, data):
     else:
         assert order_is_valid(plan.names(), deps)
         assert set(plan.names()) == transitive_closure(deps, request)
+
+
+# --- the checked catalog against its records ----------------------------------
+
+
+def test_plan_and_checks_build_records_only_for_the_closure(monkeypatch):
+    built = []
+    real = catalog_mod.ApplicationEntry
+
+    def counting(*args, **kwargs):
+        built.append(args[0] if args else kwargs["name"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(catalog_mod, "ApplicationEntry", counting)
+    deps = {"a%03d" % i: ["a%03d" % (i - 1)] if i > 2 else [] for i in range(200)}
+    deps["a001"] = ["a000"]
+    catalog = make_catalog(deps)
+    validate_catalog(catalog)
+    assert check_cycles(catalog) == []
+    assert resolve(catalog, {"a001": "1.0"}).names() == ["a000", "a001"]
+    assert len(built) <= 2, built
+
+
+_optional_fields = st.fixed_dictionaries({}, optional={
+    "app_name": st.sampled_from(["n", ""]),
+    "base_url": st.sampled_from(["http://h/d/", "http://h/e"]),
+    "file": st.sampled_from(["f.tar", "/g.tar"]),
+    "installer": st.just("other.sh"),
+    "version_name": st.sampled_from(["pretty", ""]),
+    "app_version": st.just("raw"),
+    "notes": st.just("an unknown field"),
+})
+
+
+@st.composite
+def catalogs_with_overrides(draw):
+    """Up to 8 apps; the app and each of its 1-3 versions (in random key
+    order) may set dependencies and the other fields."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    names = [chr(ord("A") + i) for i in range(n)]
+    deps = st.lists(st.sampled_from(names), max_size=3)
+    doc = {}
+    for name in names:
+        body = {f: v for f, v in draw(_optional_fields).items() if "version" not in f}
+        body["installer"] = "install.sh"
+        if draw(st.booleans()):
+            body["dependencies"] = draw(deps)
+        keys = draw(st.lists(st.sampled_from(["1.0", "2.0", "3.1"]), min_size=1, max_size=3,
+                             unique=True))
+        body["versions"] = {}
+        for vk in keys:
+            version = draw(_optional_fields)
+            if draw(st.booleans()):
+                version["dependencies"] = draw(deps)
+            body["versions"][vk] = version
+        doc[name] = body
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(catalogs_with_overrides())
+def test_property_checked_catalog_agrees_with_its_records(doc):
+    catalog = parse_catalog(json.dumps(doc))
+    for name, body in doc.items():
+        entry = catalog[name]
+        assert entry.dependencies == tuple(body.get("dependencies", ()))
+        for vk, version in body["versions"].items():
+            spec = entry.versions[vk]
+            assert spec.version_name == (
+                version.get("version_name") or version.get("app_version") or vk
+            )
+            assert spec.overrides == {
+                f: tuple(v) if f == "dependencies" else v
+                for f, v in version.items()
+                if f in OVERRIDABLE_FIELDS
+            }
+            merged = {f: getattr(entry, f) for f in OVERRIDABLE_FIELDS}
+            merged.update(spec.overrides)
+            merged["version_name"] = spec.version_name
+            assert effective_version(catalog, name, vk).effective == merged
+    assert check_cycles(catalog) == reference_check_cycles(catalog)
+    assert parse_catalog(serialize_catalog(catalog)) == catalog

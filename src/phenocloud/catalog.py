@@ -9,33 +9,13 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from phenocloud.errors import CatalogError, NotFoundError
 
 # Fields a version entry may override.
 OVERRIDABLE_FIELDS = ("app_name", "base_url", "file", "dependencies", "installer")
-
-
-@dataclass(frozen=True)
-class VersionSpec:
-    """One entry of an application's ``versions`` dictionary."""
-
-    version_key: str
-    version_name: str
-    overrides: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ApplicationEntry:
-    name: str
-    installer: str
-    versions: dict  # version_key -> VersionSpec
-    app_name: str | None = None
-    base_url: str | None = None
-    file: str | None = None
-    dependencies: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -60,15 +40,15 @@ _Checked = namedtuple("_Checked", OVERRIDABLE_FIELDS + ("versions", "edges"))
 
 
 class Catalog:
-    """Immutable mapping of application name -> ApplicationEntry.
+    """Every application as parse_catalog checked it, keyed by name.
 
-    Holds every entry as parse_catalog checked it and builds an
-    application's ApplicationEntry the first time it is asked for.
+    Read an application's merged fields with effective_version, its graph
+    with version_keys and edges, and the unmerged document with
+    serialize_catalog.
     """
 
     def __init__(self, checked: dict):
         self._checked = checked
-        self._entries = {}
 
     def __contains__(self, name):
         return name in self._checked
@@ -78,18 +58,6 @@ class Catalog:
             return self._checked[name]
         except KeyError:
             raise NotFoundError(f"application {name!r} not in catalog") from None
-
-    def __getitem__(self, name) -> ApplicationEntry:
-        entry = self._entries.get(name)
-        if entry is None:
-            app = self._app(name)
-            versions = {
-                vk: VersionSpec(vk, spec[0], dict(zip(spec[1::2], spec[2::2])))
-                for vk, spec in app.versions.items()
-            }
-            # app[:4] is app_name, base_url, file, dependencies.
-            entry = self._entries[name] = ApplicationEntry(name, app.installer, versions, *app[:4])
-        return entry
 
     def version_keys(self, name):
         """The application's version keys."""

@@ -230,11 +230,16 @@ def cmd_scan_run(args, config):
         ma_min=ma_min, ma_max=ma_max, tb_min=tb_min, tb_max=tb_max,
         steps_per_axis=args.steps,
     )
+    timeout = args.timeout_per_point
     if args.kernel == "builtin":
+        if timeout is not None:
+            raise PhenocloudError("--timeout-per-point applies to a cmd: kernel only")
         kernel, command = "builtin", None
     elif args.kernel.startswith("cmd:"):
         if args.work_units:
             raise PhenocloudError("--work-units applies to the builtin kernel only")
+        if timeout is not None and not 0 < timeout < float("inf"):
+            raise PhenocloudError(f"--timeout-per-point must be a positive number, got {timeout}")
         kernel, command = "command", args.kernel[4:]
     else:
         raise PhenocloudError(f"unknown kernel {args.kernel!r}")
@@ -246,7 +251,7 @@ def cmd_scan_run(args, config):
         kernel=kernel,
         work_units=args.work_units,
         command=command,
-        timeout_per_point=args.timeout_per_point,
+        timeout_per_point=timeout,
     )
     print(json.dumps(
         {

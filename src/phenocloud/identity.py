@@ -130,7 +130,7 @@ class Decision:
 
 @dataclass(frozen=True)
 class Denial:
-    reason: str  # vo-not-allowed | user-not-allowed | unknown-principal | expired
+    reason: str  # vo-not-allowed | user-not-allowed | unknown-principal | disabled | expired
     detail: str = ""
 
 
@@ -249,6 +249,10 @@ class JsonPrincipalStore(PrincipalStore):
             p = Principal(**record)
         except TypeError as exc:
             raise ConfigError(f"malformed principal store {self.path} {where}: {exc}") from exc
+        if not (isinstance(p.username, str) and isinstance(p.tenant, str)
+                and isinstance(p.created_by, str) and isinstance(p.enabled, bool)):
+            raise ConfigError(f"malformed principal store {self.path} {where}: username, "
+                              "tenant and created_by must be strings, enabled a boolean")
         self._principals[(p.username, p.tenant)] = p
 
     def _convert(self, principal):
@@ -272,6 +276,7 @@ class JsonPrincipalStore(PrincipalStore):
 
 def _decide(rule, store: PrincipalStore, username: str):
     principal = store.get(username, rule.tenant)
+    created = False
     if principal is None:
         if not rule.auto_create:
             return Denial(
@@ -279,8 +284,11 @@ def _decide(rule, store: PrincipalStore, username: str):
                 f"{username!r} has no account in tenant {rule.tenant!r}",
             )
         new = Principal(username=username, tenant=rule.tenant, created_by="auto")
-        return Decision(tenant=rule.tenant, username=username, created=store.add(new) is new)
-    return Decision(tenant=rule.tenant, username=username)
+        principal = store.add(new)  # another process may have added it first
+        created = principal is new
+    if not principal.enabled:
+        return Denial("disabled", f"{username!r} is disabled in tenant {rule.tenant!r}")
+    return Decision(tenant=rule.tenant, username=username, created=created)
 
 
 def map_assertion(config: MappingConfig, store: PrincipalStore, assertion: Assertion, now: float):

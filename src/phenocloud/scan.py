@@ -11,6 +11,7 @@ per-point cost is near constant, so static shares need no balancing.
 from __future__ import annotations
 
 import contextlib
+import math
 import multiprocessing
 import os
 import subprocess
@@ -43,6 +44,8 @@ class ScanGrid:
     def __post_init__(self):
         if self.steps_per_axis < 1:
             raise ValueError("steps_per_axis must be >= 1")
+        if not all(map(math.isfinite, (self.ma_min, self.ma_max, self.tb_min, self.tb_max))):
+            raise ValueError("parameter ranges must be finite")
         if not (self.ma_min < self.ma_max and self.tb_min < self.tb_max):
             raise ValueError("parameter ranges must be non-empty")
 

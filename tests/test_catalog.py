@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import FEYNHIGGS_ENTRY
 from phenocloud.catalog import (
     effective_version,
     join_url,
@@ -16,10 +17,11 @@ from phenocloud.errors import CatalogError, NotFoundError
 def test_formcalc_fragment_parses(formcalc_fragment_text):
     catalog = parse_catalog(formcalc_fragment_text)
     assert len(catalog) == 1
-    entry = catalog["FormCalc"]
-    assert entry.installer == "feyntools.sh"
-    assert entry.dependencies == ("FeynHiggs",)
-    assert set(entry.versions) == {"7.0.2", "7.4"}
+    assert set(catalog.version_keys("FormCalc")) == {"7.0.2", "7.4"}
+    for vk in ("7.0.2", "7.4"):
+        resolved = effective_version(catalog, "FormCalc", vk)
+        assert resolved.effective["installer"] == "feyntools.sh"
+        assert resolved.dependencies == ("FeynHiggs",)
 
 
 def test_empty_catalog():
@@ -84,7 +86,17 @@ def test_unknown_fields_ignored():
         }
     }
     catalog = parse_catalog(json.dumps(doc))
-    assert catalog["App"].versions["1"].version_name == "one"
+    assert effective_version(catalog, "App", "1").effective == {
+        "app_name": None,
+        "base_url": None,
+        "file": None,
+        "dependencies": (),
+        "installer": "x.sh",
+        "version_name": "one",
+    }
+    assert json.loads(serialize_catalog(catalog)) == {
+        "App": {"installer": "x.sh", "versions": {"1": {"version_name": "one"}}}
+    }
 
 
 def test_version_name_preferred_over_app_version():
@@ -98,10 +110,14 @@ def test_version_name_preferred_over_app_version():
             },
         }
     }
-    versions = parse_catalog(json.dumps(doc))["App"].versions
-    assert versions["1"].version_name == "pretty"
-    assert versions["2"].version_name == "two"
-    assert versions["3"].version_name == "3"  # falls back to the map key
+    catalog = parse_catalog(json.dumps(doc))
+
+    def version_name(vk):
+        return effective_version(catalog, "App", vk).effective["version_name"]
+
+    assert version_name("1") == "pretty"
+    assert version_name("2") == "two"
+    assert version_name("3") == "3"  # falls back to the map key
 
 
 def test_validate_rejects_dangling_dependency(formcalc_fragment_text):
@@ -126,10 +142,10 @@ def test_effective_version_default_retained(feyn_catalog):
 
 def test_effective_version_identity_when_no_overrides(feyn_catalog):
     resolved = effective_version(feyn_catalog, "FeynHiggs", "2.9.4")
-    entry = feyn_catalog["FeynHiggs"]
-    assert resolved.effective["base_url"] == entry.base_url
-    assert resolved.effective["installer"] == entry.installer
-    assert resolved.effective["file"] == entry.file
+    entry = FEYNHIGGS_ENTRY["FeynHiggs"]
+    assert resolved.effective["base_url"] == entry["base_url"]
+    assert resolved.effective["installer"] == entry["installer"]
+    assert resolved.effective["file"] == entry["file"]
 
 
 def test_effective_version_unknown_name(feyn_catalog):
@@ -212,6 +228,5 @@ def test_override_merge_is_idempotent_and_field_local(version_overrides):
             if field_name in body:
                 assert eff[field_name] == body[field_name]
             else:
-                entry_default = getattr(catalog["App"], field_name)
-                assert eff[field_name] == entry_default
+                assert eff[field_name] == doc["App"].get(field_name)
         assert eff["installer"] == "x.sh"  # unrelated field never changes

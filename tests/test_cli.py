@@ -110,6 +110,18 @@ def test_auth_map_vo_denies_with_reason_on_stderr(identity_config_file, capsys):
     assert "vo-not-allowed" in captured.err
 
 
+def test_auth_map_user_denies_a_disabled_principal(identity_config_file, tmp_path, capsys):
+    store = tmp_path / "principals.json"
+    store.write_text('{"username":"bob@ifca.es","tenant":"ifca","enabled":false,'
+                     '"created_by":"manual"}\n')
+    code = dispatch(["auth", "map-user", "--config", identity_config_file, "--store", str(store),
+                     "--user", "bob@ifca.es"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("denied (disabled): ")
+
+
 def test_auth_map_user(identity_config_file, capsys):
     code = dispatch([
         "auth", "map-user", "--config", identity_config_file, "--user", "alice@ifca.es",
@@ -261,7 +273,25 @@ BAD_INPUTS = [
                   "--work-units", "5"], None, id="bench-work-units-command"),
     pytest.param(["scan", "run", "--steps", "2", "--kernel", "cmd:sed 's/$/ ALLOWED/'",
                   "--work-units", "7", "--out", "{out}"], None, id="scan-work-units-command"),
+    pytest.param(["scan", "run", "--steps", "2", "--timeout-per-point", "5", "--out", "{out}"],
+                 None, id="scan-timeout-builtin"),
+    pytest.param(["scan", "run", "--steps", "2", "--kernel", "cmd:sed 's/$/ ALLOWED/'",
+                  "--timeout-per-point", "0", "--out", "{out}"], None, id="scan-timeout-zero"),
+    pytest.param(["scan", "run", "--steps", "3", "--ma", "0:inf", "--out", "{out}"], None,
+                 id="scan-range-inf"),
 ]
+
+@pytest.mark.parametrize("timeout", ["-1", "inf"])
+def test_scan_timeout_per_point_is_refused_before_any_worker_runs(timeout, tmp_path, capsys):
+    # Both used to reach the worker and fail there, inside subprocess.run.
+    out = tmp_path / "scan.dat"
+    code = dispatch(["scan", "run", "--steps", "2", "--kernel", "cmd:sed 's/$/ ALLOWED/'",
+                     "--timeout-per-point", timeout, "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: --timeout-per-point ")
+    assert list(tmp_path.iterdir()) == []
+
 
 A_ENTRY = '"installer": "A.sh", "versions": {"1.0": {}}'
 

@@ -81,6 +81,19 @@ def test_denials_do_not_mutate_store():
     assert store.all() == []
 
 
+@pytest.mark.parametrize("auto_create", [False, True])
+def test_disabled_principal_is_denied(auto_create):
+    store = PrincipalStore()
+    store.add(Principal(username="/DC=es/CN=alice", tenant="pheno", enabled=False))
+    outcome = map_assertion(pheno_config(auto_create), store, fresh_assertion(), NOW)
+    assert isinstance(outcome, Denial) and outcome.reason == "disabled"
+    store.add(Principal(username="bob", tenant="t", enabled=False))
+    outcome = map_username(MappingConfig(user_rules=[UserRule(r".*", "t", auto_create)]),
+                           store, "bob")
+    assert isinstance(outcome, Denial) and outcome.reason == "disabled"
+    assert len(store.all()) == 2
+
+
 def test_auto_create_is_idempotent():
     store = PrincipalStore()
     map_assertion(pheno_config(), store, fresh_assertion(), NOW)
@@ -400,7 +413,16 @@ def test_new_store_is_readable_by_its_owner_only(tmp_path):
     ('[{"username": "x"}]', "record 0"),
     ('{"username":"a","tenant":"t","enabled":true,"created_by":"manual"}\nnot json\n', "line 2"),
     ('{"username":"a","tenant":"t"}\n{"username":"b"}\n', "line 2"),
-], ids=["legacy-missing-key", "journal-not-json", "journal-missing-key"])
+    ('[{"username":"a","tenant":"t","enabled":"false"}]', "record 0"),
+    ('{"username":"a","tenant":"t"}\n{"username":"b","tenant":"t","enabled":"false"}\n',
+     "line 2"),
+    ('{"username":"a","tenant":"t","enabled":0}\n', "line 1"),
+    ('{"username":5,"tenant":"t"}\n', "line 1"),
+    ('{"username":"a","tenant":["t"]}\n', "line 1"),
+    ('{"username":"a","tenant":"t","created_by":null}\n', "line 1"),
+], ids=["legacy-missing-key", "journal-not-json", "journal-missing-key", "legacy-enabled-string",
+        "journal-enabled-string", "journal-enabled-number", "journal-username-number",
+        "journal-tenant-list", "journal-created-by-null"])
 def test_malformed_store_raises_config_error_naming_where(tmp_path, text, where):
     path = tmp_path / "principals.json"
     path.write_text(text)

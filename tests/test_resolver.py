@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_catalog
-from phenocloud import catalog as catalog_mod
 from phenocloud.catalog import (
     OVERRIDABLE_FIELDS,
     effective_version,
     parse_catalog,
     serialize_catalog,
-    validate_catalog,
 )
 from phenocloud.errors import CycleError, DanglingDependencyError, NotFoundError
 from phenocloud.resolver import check_cycles, resolve
@@ -269,13 +267,12 @@ def reference_check_cycles(catalog) -> list:
     anchored at its smallest node, found by a DFS over sorted neighbours
     that never descends below the anchor.  Exponential, small graphs only.
     An application's edges are its dependencies under any of its versions,
-    read from its ApplicationEntry."""
+    read from the catalog's serialized document."""
     edges = {}
-    for name in catalog:
-        entry = catalog[name]
-        union = set(entry.dependencies)
-        for spec in entry.versions.values():
-            union.update(spec.overrides.get("dependencies", ()))
+    for name, body in json.loads(serialize_catalog(catalog)).items():
+        union = set(body.get("dependencies", ()))
+        for version in body["versions"].values():
+            union.update(version.get("dependencies", ()))
         edges[name] = sorted(union)
     cycles = []
     for anchor in sorted(edges):
@@ -334,25 +331,7 @@ def test_property_reported_cycle_is_a_closed_path_of_edges(deps, data):
         assert set(plan.names()) == transitive_closure(deps, request)
 
 
-# --- the checked catalog against its records ----------------------------------
-
-
-def test_plan_and_checks_build_records_only_for_the_closure(monkeypatch):
-    built = []
-    real = catalog_mod.ApplicationEntry
-
-    def counting(*args, **kwargs):
-        built.append(args[0] if args else kwargs["name"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(catalog_mod, "ApplicationEntry", counting)
-    deps = {"a%03d" % i: ["a%03d" % (i - 1)] if i > 2 else [] for i in range(200)}
-    deps["a001"] = ["a000"]
-    catalog = make_catalog(deps)
-    validate_catalog(catalog)
-    assert check_cycles(catalog) == []
-    assert resolve(catalog, {"a001": "1.0"}).names() == ["a000", "a001"]
-    assert len(built) <= 2, built
+# --- the checked catalog against its document ----------------------------------
 
 
 _optional_fields = st.fixed_dictionaries({}, optional={
@@ -393,24 +372,15 @@ def catalogs_with_overrides(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(catalogs_with_overrides())
-def test_property_checked_catalog_agrees_with_its_records(doc):
+def test_property_checked_catalog_agrees_with_its_document(doc):
     catalog = parse_catalog(json.dumps(doc))
     for name, body in doc.items():
-        entry = catalog[name]
-        assert entry.dependencies == tuple(body.get("dependencies", ()))
+        assert list(catalog.version_keys(name)) == list(body["versions"])
         for vk, version in body["versions"].items():
-            spec = entry.versions[vk]
-            assert spec.version_name == (
-                version.get("version_name") or version.get("app_version") or vk
-            )
-            assert spec.overrides == {
-                f: tuple(v) if f == "dependencies" else v
-                for f, v in version.items()
-                if f in OVERRIDABLE_FIELDS
-            }
-            merged = {f: getattr(entry, f) for f in OVERRIDABLE_FIELDS}
-            merged.update(spec.overrides)
-            merged["version_name"] = spec.version_name
+            merged = {f: body.get(f) for f in OVERRIDABLE_FIELDS}
+            merged.update((f, v) for f, v in version.items() if f in OVERRIDABLE_FIELDS)
+            merged["dependencies"] = tuple(merged["dependencies"] or ())
+            merged["version_name"] = version.get("version_name") or version.get("app_version") or vk
             assert effective_version(catalog, name, vk).effective == merged
     assert check_cycles(catalog) == reference_check_cycles(catalog)
     assert parse_catalog(serialize_catalog(catalog)) == catalog

@@ -62,6 +62,17 @@ def test_empty_range_rejected():
         ScanGrid(ma_min=500, ma_max=90)
 
 
+@pytest.mark.parametrize("bounds", [
+    {"ma_max": float("inf")},
+    {"ma_min": float("-inf")},
+    {"tb_max": float("nan")},
+    {"tb_min": float("nan")},
+])
+def test_infinite_or_nan_range_rejected(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        ScanGrid(**bounds)
+
+
 # --- partition ---------------------------------------------------------------
 
 

@@ -33,7 +33,11 @@ def load_global_config() -> dict:
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise PhenocloudError(f"{CONFIG_ENV} file {path} must hold a JSON object")
-    return {k: raw[k] for k in CONFIG_KEYS if k in raw}
+    config = {k: raw[k] for k in CONFIG_KEYS if k in raw}
+    for key, value in config.items():
+        if not isinstance(value, str):
+            raise PhenocloudError(f"{CONFIG_ENV} file {path}: {key} must be a string")
+    return config
 
 
 def _setting(args, config, flag, key=None):

@@ -16,8 +16,7 @@ import json
 import math
 import os
 import re
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from phenocloud.errors import PhenocloudError
 
@@ -152,7 +151,7 @@ class PrincipalStore:
 
 
 def _owner_only(path, flags):
-    return os.open(path, flags, 0o600)  # as mkstemp makes the converted journal
+    return os.open(path, flags, 0o600)  # a new store is readable by its owner only
 
 
 def _line(p: Principal) -> bytes:
@@ -165,16 +164,16 @@ class JsonPrincipalStore(PrincipalStore):
     ``add`` appends its line under an exclusive ``flock`` after reading the
     lines other processes appended, so processes on one host sharing the file
     keep each other's principals. A last line without a newline is a torn
-    write: loading ignores it and the next ``add`` truncates it. A legacy
-    JSON-array file is read, and the first ``add`` replaces it by its journal.
+    write: loading ignores it and the next ``add`` truncates it. A legacy store
+    starts with a JSON array, never rewritten: the journal continues after it
+    and its trailing whitespace, and errors name lines as numbered in the file.
     """
 
     def __init__(self, path):
         super().__init__()
         self.path = path
-        self._inode = None  # file the offsets below refer to
-        self._offset = 0  # bytes of complete lines read
-        self._lines = 0  # complete lines read
+        self._offset = 0  # bytes read: the legacy array, then complete lines
+        self._lines = 0  # newlines in those bytes
         try:
             with open(path, "rb") as fh:
                 self._read(fh)
@@ -185,52 +184,28 @@ class JsonPrincipalStore(PrincipalStore):
         key = (principal.username, principal.tenant)
         if key in self._principals:
             return self._principals[key]
-        with self._locked() as fh:
-            legacy = self._read(fh)
+        with open(self.path, "a+b", opener=_owner_only) as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)  # closing the file unlocks it
+            self._read(fh)
             if key in self._principals:
                 return self._principals[key]
-            if legacy:
-                self._convert(principal)
-            else:
-                if fh.tell() > self._offset:
-                    fh.truncate(self._offset)  # a torn tail; O_APPEND writes at the new end
-                line = _line(principal)
-                fh.write(line)
-                fh.flush()
-                self._offset += len(line)
-                self._lines += 1
+            if fh.tell() > self._offset:
+                fh.truncate(self._offset)  # a torn tail; O_APPEND writes at the new end
+            line = _line(principal)
+            fh.write(line)
+            fh.flush()
+            self._offset += len(line)
+            self._lines += 1
             self._principals[key] = principal
         return principal
 
-    def _locked(self):
-        """Open the file at self.path, holding LOCK_EX; closing it unlocks."""
-        while True:
-            fh = open(self.path, "a+b", opener=_owner_only)
-            try:
-                fcntl.flock(fh, fcntl.LOCK_EX)
-                if os.fstat(fh.fileno()).st_ino == os.stat(self.path).st_ino:
-                    return fh
-            except BaseException:
-                fh.close()
-                raise
-            fh.close()  # a legacy file was converted while we waited: lock its journal
-
     def _read(self, fh):
-        """Merge the lines appended since the last read, or all of them if the file was
-        replaced; return whether the file is a legacy JSON array."""
-        inode = os.fstat(fh.fileno()).st_ino
-        if inode != self._inode:
-            self._inode, self._offset, self._lines = inode, 0, 0
+        """Merge the lines appended since the last read, after a legacy array at offset 0."""
         fh.seek(self._offset)
         data = fh.read()
         if self._offset == 0 and data.lstrip()[:1] == b"[":
-            try:
-                records = json.loads(data)
-            except ValueError as exc:
-                raise ConfigError(f"principal store {self.path} is not valid JSON: {exc}") from exc
-            for index, record in enumerate(records):
-                self._load(record, f"record {index}")
-            return True
+            self._load_array(data)
+            data = data[self._offset:]
         end = data.rfind(b"\n") + 1
         for line in data[:end].splitlines():
             self._lines += 1
@@ -242,7 +217,20 @@ class JsonPrincipalStore(PrincipalStore):
                 ) from exc
             self._load(record, f"line {self._lines}")
         self._offset += end
-        return False
+
+    def _load_array(self, data):
+        """Load the legacy JSON array data starts with; read past it and the whitespace after."""
+        space = json.decoder.WHITESPACE
+        try:
+            text = data.decode("utf-8", "surrogateescape")  # journal lines are decoded one by one
+            records, end = json.JSONDecoder().raw_decode(text, space.match(text).end())
+            head = text[:space.match(text, end).end()].encode("utf-8", "surrogateescape")
+            head.decode("utf-8")  # the array must be UTF-8
+        except ValueError as exc:
+            raise ConfigError(f"principal store {self.path} is not valid JSON: {exc}") from exc
+        for index, record in enumerate(records):
+            self._load(record, f"record {index}")
+        self._offset, self._lines = len(head), head.count(b"\n")
 
     def _load(self, record, where):
         try:
@@ -254,24 +242,6 @@ class JsonPrincipalStore(PrincipalStore):
             raise ConfigError(f"malformed principal store {self.path} {where}: username, "
                               "tenant and created_by must be strings, enabled a boolean")
         self._principals[(p.username, p.tenant)] = p
-
-    def _convert(self, principal):
-        """Replace the legacy array file by its journal plus principal, under the caller's lock."""
-        principals = [*self._principals.values(), principal]
-        data = b"".join(_line(p) for p in principals)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(self.path)), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                inode = os.fstat(fh.fileno()).st_ino
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        self._inode, self._offset, self._lines = inode, len(data), len(principals)
 
 
 def _decide(rule, store: PrincipalStore, username: str):

@@ -138,6 +138,8 @@ def _evaluate_command(points, first_index, command, timeout_per_point):
     """Run the command kernel over `points`, whose grid indices start at
     `first_index`.  Each output line must echo its input point as sent and
     add one known status."""
+    if not points:  # an empty share starts no command: W workers write what one does
+        return []
     inputs = ["%.6g %.6g" % (ma, tb) for ma, tb in points]
     stdin = "".join(f"{point}\n" for point in inputs)
     timeout = timeout_per_point * len(points) if timeout_per_point else None

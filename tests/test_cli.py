@@ -279,6 +279,12 @@ BAD_INPUTS = [
                   "--timeout-per-point", "0", "--out", "{out}"], None, id="scan-timeout-zero"),
     pytest.param(["scan", "run", "--steps", "3", "--ma", "0:inf", "--out", "{out}"], None,
                  id="scan-range-inf"),
+    pytest.param(["auth", "token", "issue", "--subject", "s", "--tenant", "t"],
+                 "{signing_key_number}", id="pheno-config-signing-key-number"),
+    pytest.param(["ctx", "run", "--catalog", "{catalog_a}", "--metadata", "{request_a}"],
+                 "{root_list}", id="pheno-config-root-list"),
+    pytest.param(["ctx", "plan", "--metadata", "{request_a}"], "{catalog_number}",
+                 id="pheno-config-catalog-number"),
 ]
 
 @pytest.mark.parametrize("timeout", ["-1", "inf"])
@@ -315,7 +321,11 @@ def test_bad_input_is_a_one_line_error(argv, pheno_config, identity_config_file,
                        ("auto_create_string",
                         '{"vo_rules": [{"vo": "pheno", "tenant": "t", "auto_create": "false"}]}'),
                        ("tenant_number",
-                        '{"vo_rules": [{"vo": "pheno", "tenant": 5, "auto_create": true}]}')]:
+                        '{"vo_rules": [{"vo": "pheno", "tenant": 5, "auto_create": true}]}'),
+                       ("catalog_a", '{"A": {%s}}' % A_ENTRY),
+                       ("signing_key_number", '{"signing_key": 5}'),
+                       ("root_list", '{"root": ["x"]}'),
+                       ("catalog_number", '{"catalog": 5}')]:
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(text)
     monkeypatch.delenv("PHENO_CONFIG", raising=False)
@@ -327,6 +337,18 @@ def test_bad_input_is_a_one_line_error(argv, pheno_config, identity_config_file,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_pheno_config_value_that_is_not_a_string_names_file_and_key(tmp_path, monkeypatch,
+                                                                   capsys):
+    config = tmp_path / "pheno.json"
+    config.write_text('{"root": "r", "signing_key": 5}')
+    monkeypatch.setenv("PHENO_CONFIG", str(config))
+    code = dispatch(["auth", "token", "issue", "--subject", "s", "--tenant", "t"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: PHENO_CONFIG file {config}: signing_key must be a string"
+    ]
 
 
 @pytest.mark.parametrize("argv,bad", [

@@ -9,7 +9,6 @@ import threading
 
 import pytest
 
-from conftest import make_catalog
 import phenocloud
 from phenocloud import contextualize as contextualize_mod
 from phenocloud.catalog import serialize_catalog

@@ -300,10 +300,15 @@ def write_legacy_store(path, principals):
 
 
 def store_lines(path):
+    """The records of a store: its legacy array's, then each journal line's."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     assert text.endswith("\n")
-    return [json.loads(line) for line in text.splitlines()]
+    records, end = [], 0
+    if text.lstrip().startswith("["):
+        records, end = json.JSONDecoder().raw_decode(text, len(text) - len(text.lstrip()))
+        end = len(text) - len(text[end:].lstrip())
+    return records + [json.loads(line) for line in text[end:].splitlines()]
 
 
 WRITER = """
@@ -329,6 +334,8 @@ def test_concurrent_processes_keep_each_others_principals(tmp_path, seed_format)
         write_legacy_store(path, [seeded])
     else:
         JsonPrincipalStore(path).add(seeded)
+    with open(path, "rb") as fh:
+        seed_bytes = fh.read()
     src = os.path.dirname(os.path.dirname(phenocloud.__file__))
     with contextlib.ExitStack() as stack:
         procs = [
@@ -361,6 +368,8 @@ def test_concurrent_processes_keep_each_others_principals(tmp_path, seed_format)
     assert names == {"seed"} | users
     assert len(store_lines(path)) == 601  # each principal once
     assert shared_created == 200  # and exactly one process created it
+    with open(path, "rb") as fh:
+        assert fh.read().startswith(seed_bytes)  # nothing rewrote the seed
 
 
 def test_torn_last_line_is_ignored_then_truncated(tmp_path):
@@ -379,19 +388,59 @@ def test_torn_last_line_is_ignored_then_truncated(tmp_path):
     )
 
 
-def test_legacy_array_store_loads_and_converts_on_first_add(tmp_path):
+def test_legacy_array_store_loads_and_is_continued_in_place(tmp_path):
     path = str(tmp_path / "principals.json")
     old = [Principal("a", "t"), Principal("b", "u", enabled=False, created_by="auto")]
     write_legacy_store(path, old)
+    with open(path, "rb") as fh:
+        original = fh.read()
+    inode = os.stat(path).st_ino
     store = JsonPrincipalStore(path)
     assert sorted(store.all(), key=lambda p: p.username) == old
     new = Principal("c", "t", created_by="auto")
     assert store.add(new) is new
     assert [line["username"] for line in store_lines(path)] == ["a", "b", "c"]
+    assert os.stat(path).st_ino == inode
+    with open(path, "rb") as fh:
+        assert fh.read().startswith(original)
     reloaded = JsonPrincipalStore(path)
     assert sorted(reloaded.all(), key=lambda p: p.username) == old + [new]
     assert reloaded.add(Principal("d", "t")) is not None
     assert len(store_lines(path)) == 4
+
+
+LEGACY = [{"username": "a", "tenant": "t", "enabled": True, "created_by": "manual"},
+          {"username": "b", "tenant": "t", "enabled": False, "created_by": "auto"}]
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(LEGACY, indent=2) + "\n",
+    json.dumps(LEGACY, sort_keys=True),
+], ids=["pretty-with-newline", "compact-without-newline"])
+def test_legacy_store_takes_adds_that_a_reload_sees(tmp_path, text):
+    path = tmp_path / "principals.json"
+    path.write_text(text)
+    store = JsonPrincipalStore(str(path))
+    assert sorted(p.username for p in store.all()) == ["a", "b"]
+    store.add(Principal("c", "t", created_by="auto"))
+    store.add(Principal("d", "t"))
+    assert path.read_text().startswith(text)
+    reloaded = JsonPrincipalStore(str(path))
+    assert sorted(p.username for p in reloaded.all()) == ["a", "b", "c", "d"]
+    assert reloaded.get("b", "t").enabled is False
+    assert [r["username"] for r in store_lines(path)] == ["a", "b", "c", "d"]
+
+
+def test_torn_first_journal_line_after_an_array_is_truncated(tmp_path):
+    path = tmp_path / "principals.json"
+    array = json.dumps(LEGACY) + "\n"
+    path.write_text(array + '{"username":"c","ten')
+    store = JsonPrincipalStore(str(path))
+    assert sorted(p.username for p in store.all()) == ["a", "b"]
+    store.add(Principal("d", "t", created_by="auto"))
+    assert path.read_text() == (
+        array + '{"username":"d","tenant":"t","enabled":true,"created_by":"auto"}\n'
+    )
 
 
 def test_created_only_when_this_call_wrote_the_principal(tmp_path):
@@ -420,12 +469,16 @@ def test_new_store_is_readable_by_its_owner_only(tmp_path):
     ('{"username":5,"tenant":"t"}\n', "line 1"),
     ('{"username":"a","tenant":["t"]}\n', "line 1"),
     ('{"username":"a","tenant":"t","created_by":null}\n', "line 1"),
+    ('[\n{"username":"a","tenant":"t"}\n]\n{"username":"b","tenant":"t"}\nnot json\n',
+     "line 5"),  # counted as in the file, array lines included
+    ('[{"username":"caf\xe9","tenant":"t"}]\n', "byte 0xe9"),
 ], ids=["legacy-missing-key", "journal-not-json", "journal-missing-key", "legacy-enabled-string",
         "journal-enabled-string", "journal-enabled-number", "journal-username-number",
-        "journal-tenant-list", "journal-created-by-null"])
+        "journal-tenant-list", "journal-created-by-null", "journal-after-three-line-array",
+        "legacy-not-utf8"])
 def test_malformed_store_raises_config_error_naming_where(tmp_path, text, where):
     path = tmp_path / "principals.json"
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))
     with pytest.raises(ConfigError) as info:
         JsonPrincipalStore(str(path))
     assert str(path) in str(info.value) and where in str(info.value)

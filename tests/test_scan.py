@@ -8,7 +8,6 @@ import pytest
 
 from phenocloud.scan import (
     HEADER,
-    Partition,
     ScanError,
     ScanGrid,
     build_grid,
@@ -194,6 +193,19 @@ def test_external_command_kernel(tmp_path):
     lines = read_lines(out)
     assert len(lines) == 1 + SMALL_GRID.n_points
     assert all(line.endswith("ALLOWED\n") for line in lines[1:])
+
+
+def test_command_kernel_is_not_started_for_an_empty_share(tmp_path):
+    # One point on two workers leaves worker 1 no points; a kernel that fails
+    # on empty input must not run for it, so W=2 writes what W=1 writes.
+    grid = ScanGrid(ma_min=90, ma_max=500, tb_min=1.1, tb_max=60, steps_per_axis=1)
+    kernel = 'read line || exit 3; echo "$line ALLOWED"'
+    outputs = []
+    for w in (1, 2):
+        out = tmp_path / f"scan_w{w}.dat"
+        run_scan(grid, workers=w, out=str(out), kernel="command", command=kernel)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_command_kernel_with_unknown_status_is_refused(tmp_path):

@@ -12,6 +12,7 @@ tables for virtual and physical machines ship as JSON fixtures.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import resource
 import shlex
@@ -35,10 +36,10 @@ class TimingRecord:
     sys_s: float
 
     def __post_init__(self):
-        if self.real_s <= 0:
-            raise ValueError("real_s must be positive")
-        if self.user_s < 0 or self.sys_s < 0:
-            raise ValueError("CPU times must be non-negative")
+        if not 0 < self.real_s < math.inf:
+            raise ValueError("real_s must be positive and finite")
+        if not (0 <= self.user_s < math.inf and 0 <= self.sys_s < math.inf):
+            raise ValueError("CPU times must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,8 @@ def speedup_curve(timings) -> list:
     """[(P, wall time)] -> [(P, t(1)/t(P))], sorted by P."""
     by_p = {}
     for p, t in timings:
-        if t <= 0:
-            raise BenchError("wall times must be positive")
+        if not 0 < t < math.inf:
+            raise BenchError("wall times must be positive and finite")
         if p in by_p:
             raise BenchError(f"ambiguous baseline: duplicate entry for P={p}")
         by_p[p] = t
@@ -268,4 +269,8 @@ def analyze(run: BenchRun, baseline: BenchRun | None = None) -> BenchReport:
     if baseline is not None:
         report.baseline_label = baseline.label
         report.degradation_pct_vs_baseline = degradation_pct(worst, slowest(baseline))
+    # Finite times can still overflow a percentage (a subnormal real_s).
+    percentages = (report.sys_pct_max, report.degradation_pct_vs_baseline or 0.0)
+    if not all(map(math.isfinite, percentages)):
+        raise BenchError("times out of range: a percentage overflows")
     return report

@@ -289,13 +289,17 @@ def cmd_bench_run(args, config):
 
 def cmd_bench_analyze(args, config):
     from phenocloud import bench as bench_mod
-    baseline = None
-    if args.baseline:
-        baseline = bench_mod.BenchRun.from_dict(_read_json(args.baseline))
-    reports = []
-    for path in args.runs:
-        run = bench_mod.BenchRun.from_dict(_read_json(path))
-        reports.append(bench_mod.analyze(run, baseline=baseline))
+
+    def analyzed(path, baseline=None):
+        raw = _read_json(path)
+        try:  # a bad record or an empty run is an error naming its file
+            run = bench_mod.BenchRun.from_dict(raw)
+            return run, bench_mod.analyze(run, baseline=baseline)
+        except (bench_mod.BenchError, ValueError) as exc:
+            raise PhenocloudError(f"{path}: {exc}") from exc
+
+    baseline = analyzed(args.baseline)[0] if args.baseline else None
+    reports = [analyzed(path, baseline)[1] for path in args.runs]
     if args.report == "table":
         for r in reports:
             line = (

@@ -1,8 +1,9 @@
 """Install-order resolution: dependencies first, no duplicates, no cycles.
 
 Both cycle searches stand on one iterative strongly-connected-component
-routine (Tarjan, SIAM J. Comput. 1(2), 1972).  Nothing here recurses, so
-dependency chains of any depth are handled.
+routine (Tarjan, SIAM J. Comput. 1(2), 1972), run only on what Kahn's peel
+leaves: an acyclic catalog costs one Kahn pass and no SCC pass.  Nothing
+here recurses, so dependency chains of any depth are handled.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def _select_versions(catalog: Catalog, request: dict) -> dict:
 def _components(succ, nodes) -> list:
     """Strongly connected components of the subgraph induced by `nodes`.
 
-    `succ[node]` lists a node's successors; those outside `nodes` (a set)
-    are ignored.  Tarjan's algorithm with an explicit stack of successor
+    `succ[node]` lists a node's successors; those outside `nodes` are
+    ignored.  Tarjan's algorithm with an explicit stack of successor
     iterators in place of recursion.  A node's index turns infinite once its
     component is out, so that it lowers no other node's link.
     """
@@ -109,9 +110,24 @@ def _components(succ, nodes) -> list:
 
 def _cyclic_components(succ, nodes) -> list:
     """The components of `nodes` that hold a cycle: two or more nodes, or
-    one node that depends on itself."""
+    one node that depends on itself.  Nodes that no remaining node depends
+    on are peeled first (Kahn, CACM 5(11), 1962): no cycle passes them."""
+    indegree = dict.fromkeys(nodes, 0)
+    for node in nodes:
+        for nxt in succ[node]:
+            if nxt in indegree:
+                indegree[nxt] += 1
+    peel = [node for node, deg in indegree.items() if deg == 0]
+    while peel:
+        for nxt in succ[peel.pop()]:
+            if nxt in indegree:
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    peel.append(nxt)
+    # Dicts iterate in insertion order, not hash order, so passes stay local.
+    rest = {node: None for node, deg in indegree.items() if deg}
     return [
-        c for c in _components(succ, nodes) if len(c) > 1 or c[0] in succ[c[0]]
+        c for c in _components(succ, rest) if len(c) > 1 or c[0] in succ[c[0]]
     ]
 
 
@@ -207,27 +223,26 @@ def check_cycles(catalog: Catalog) -> list:
     cycle once, starting at its lexicographically smallest node.
     Anchors ascend; under one anchor, cycles come in depth-first order
     over sorted dependencies.  Empty list iff the catalog's dependency
-    graph is acyclic, which costs one pass over the graph.
+    graph is acyclic; as nodes no cycle can pass through are peeled
+    before Tarjan, an acyclic graph costs one Kahn pass and no SCC pass.
     """
-    names = sorted(catalog)
-    rank = {name: i for i, name in enumerate(names)}
-    succ = [
-        sorted({rank[d] for d in catalog.edges(name) if d in rank})
-        for name in names
-    ]
+    succ = {}
+    for name in catalog:
+        deps = catalog.edges(name)
+        # Dependencies outside the catalog are skipped where they are met.
+        succ[name] = sorted(set(deps)) if len(deps) > 1 else deps
     # Cycles anchored at a component's smallest node lie inside that
     # component; the rest lie in the components of what is left without it.
     # Components are disjoint, so popping smallest anchors first keeps the
     # anchors in ascending order.
-    heap = [(min(c), c) for c in _cyclic_components(succ, set(range(len(names))))]
+    heap = [(min(c), c) for c in _cyclic_components(succ, succ)]
     heapq.heapify(heap)
     cycles = []
     while heap:
         anchor, component = heapq.heappop(heap)
-        members = set(component)
-        for circuit in _circuits(succ, anchor, members):
-            cycles.append([names[i] for i in circuit])
-        members.discard(anchor)
+        members = dict.fromkeys(component)
+        cycles.extend(_circuits(succ, anchor, members))
+        del members[anchor]
         for sub in _cyclic_components(succ, members):
             heapq.heappush(heap, (min(sub), sub))
     return cycles

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -100,6 +101,33 @@ def test_degradation_sign():
 
 def test_speedup_curve_linear():
     assert speedup_curve([(1, 100), (2, 50), (4, 25)]) == [(1, 1.0), (2, 2.0), (4, 4.0)]
+
+
+@pytest.mark.parametrize("times", [
+    dict(real_s=math.nan, user_s=1, sys_s=0),
+    dict(real_s=math.inf, user_s=1, sys_s=0),
+    dict(real_s=1, user_s=math.nan, sys_s=0),
+    dict(real_s=1, user_s=0, sys_s=math.inf),
+], ids=["real-nan", "real-inf", "user-nan", "sys-inf"])
+def test_timing_record_requires_finite_times(times):
+    with pytest.raises(ValueError, match="finite"):
+        TimingRecord(**times)
+
+
+def test_analyze_refuses_a_percentage_that_overflows():
+    tiny = TimingRecord(real_s=1e-310, user_s=0, sys_s=1)
+    with pytest.raises(BenchError, match="overflows"):
+        analyze(BenchRun(machine=LAB, phase="Math", processes=1, records=[tiny]))
+    with pytest.raises(BenchError, match="overflows"):
+        analyze(make_run([1e10]), baseline=make_run([1e-300]))
+
+
+@pytest.mark.parametrize("wall", [0, -1, math.nan, math.inf])
+def test_speedup_curve_requires_finite_positive_wall_times(wall):
+    with pytest.raises(BenchError, match="positive and finite"):
+        speedup_curve([(1, 100), (2, wall)])
+    with pytest.raises(BenchError, match="positive and finite"):
+        speedup_curve([(1, wall), (2, 50)])
 
 
 def test_speedup_curve_requires_unique_baseline():

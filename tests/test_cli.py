@@ -182,6 +182,40 @@ def test_bench_analyze_table(tmp_path, capsys):
     assert "sys%" in capsys.readouterr().out
 
 
+def _bench_run_text(**record):
+    """A saved bench run with one record, written as `json.dumps` writes
+    non-finite floats (NaN, Infinity)."""
+    return json.dumps({
+        "machine": {"size_class": "R", "cores": 1, "hyperthreading": False, "ram_gb": 1},
+        "phase": "Math", "processes": 1,
+        "records": [{"real_s": 2.0, "user_s": 1.0, "sys_s": 0.5, **record}],
+    })
+
+
+@pytest.mark.parametrize("record,bad_baseline", [
+    ({"real_s": float("nan")}, False),
+    ({"sys_s": float("inf")}, False),
+    ({"real_s": 0}, False),
+    ({"real_s": 1e-310}, False),
+    ({}, True),
+], ids=["real-nan", "sys-infinity", "real-zero", "sys-pct-overflow", "baseline-nan"])
+def test_bench_analyze_refuses_bad_times_naming_the_file(record, bad_baseline, tmp_path, capsys):
+    run = tmp_path / "run.json"
+    run.write_text(_bench_run_text(**record))
+    argv = ["bench", "analyze", str(run), "--report", "json"]
+    bad = run
+    if bad_baseline:
+        bad = tmp_path / "baseline.json"
+        bad.write_text(_bench_run_text(real_s=float("nan")))
+        argv += ["--baseline", str(bad)]
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: ")
+
+
 def test_global_config_supplies_catalog(catalog_file, metadata_file, tmp_path,
                                         monkeypatch, capsys):
     config = tmp_path / "global.json"

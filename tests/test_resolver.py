@@ -295,14 +295,13 @@ def reference_check_cycles(catalog) -> list:
 
 
 @st.composite
-def digraphs(draw):
-    """Up to 10 nodes in a random insertion order; each depends on up to 3
-    nodes, itself and repeats allowed."""
-    n = draw(st.integers(min_value=1, max_value=10))
+def digraphs(draw, max_nodes=10, dangling=()):
+    """Up to `max_nodes` nodes in a random insertion order; each depends on
+    up to 3 nodes or `dangling` names, itself and repeats allowed."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
     names = draw(st.permutations([chr(ord("A") + i) for i in range(n)]))
-    return {
-        name: draw(st.lists(st.sampled_from(names), max_size=3)) for name in names
-    }
+    targets = st.sampled_from(names + list(dangling))
+    return {name: draw(st.lists(targets, max_size=3)) for name in names}
 
 
 @settings(max_examples=300, deadline=None)
@@ -310,6 +309,44 @@ def digraphs(draw):
 def test_property_check_cycles_equals_reference_enumerator(deps):
     catalog = make_catalog(deps)
     assert check_cycles(catalog) == reference_check_cycles(catalog)
+
+
+# Names outside the catalog that sort before, among and after the apps'.
+DANGLING = ("0", "Ab", "Zz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(max_nodes=12, dangling=DANGLING))
+def test_property_check_cycles_ignores_dangling_dependencies(deps):
+    catalog = make_catalog(deps)
+    assert check_cycles(catalog) == reference_check_cycles(catalog)
+
+
+def test_check_cycles_reports_only_planted_cycles_when_trim_is_partial():
+    # A 10k acyclic chain whose middle hangs a 3-ring that leads back into
+    # the chain, a self-loop, and p on the path from one 2-ring to another:
+    # the trim peels the chain above the ring and leaves the rest to Tarjan.
+    deps = chain_deps(cyclic=False)
+    deps["c05000"].append("m0")
+    deps.update({"m0": ["m1"], "m1": ["m2"], "m2": ["m0", "c07000"],
+                 "s0": ["s0", "c08000"],
+                 "a0": ["a1"], "a1": ["a0", "p"], "p": ["b0"], "b0": ["b1"], "b1": ["b0"]})
+    assert check_cycles(make_catalog(deps)) == [
+        ["a0", "a1", "a0"], ["b0", "b1", "b0"], ["m0", "m1", "m2", "m0"], ["s0", "s0"],
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_property_resolve_cycle_starts_at_smallest_cyclic_node(deps):
+    catalog = make_catalog(deps)
+    cycles = check_cycles(catalog)
+    try:
+        resolve(catalog, dict.fromkeys(deps, "1.0"))
+    except CycleError as err:
+        assert cycles and err.cycle[0] == cycles[0][0]
+    else:
+        assert cycles == []
 
 
 @settings(max_examples=300, deadline=None)

@@ -36,6 +36,9 @@ class TimingRecord:
     sys_s: float
 
     def __post_init__(self):
+        for name in ("real_s", "user_s", "sys_s"):
+            if isinstance(getattr(self, name), bool):  # True would pass as 1 s
+                raise ValueError(f"{name} must be a finite number, not a boolean")
         if not 0 < self.real_s < math.inf:
             raise ValueError("real_s must be positive and finite")
         if not (0 <= self.user_s < math.inf and 0 <= self.sys_s < math.inf):

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from phenocloud.errors import PhenocloudError
 
@@ -27,32 +27,25 @@ class ConfigError(PhenocloudError):
     """Mapping configuration is invalid."""
 
 
-@dataclass(frozen=True)
-class Assertion:
-    subject_dn: str
-    vo: str | None = None
-    not_before: float = 0.0
-    not_after: float = float("inf")
+# The records are named tuples: immutable, and dataclasses would cost every
+# `phenocloud auth` process the import of inspect, ast, dis and tokenize.
 
-    def __post_init__(self):
+
+class Assertion(namedtuple("Assertion", "subject_dn vo not_before not_after",
+                           defaults=(None, 0.0, math.inf))):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.subject_dn:
             raise ValueError("subject_dn must be non-empty")
         if not self.not_before < self.not_after:
             raise ValueError("not_before must precede not_after")
+        return self
 
 
-@dataclass(frozen=True)
-class VoRule:
-    vo: str
-    tenant: str
-    auto_create: bool = False
-
-
-@dataclass(frozen=True)
-class UserRule:
-    pattern: str
-    tenant: str
-    auto_create: bool = False
+VoRule = namedtuple("VoRule", "vo tenant auto_create", defaults=(False,))
+UserRule = namedtuple("UserRule", "pattern tenant auto_create", defaults=(False,))
 
 
 def _rule_fields(rule, key, where):
@@ -112,25 +105,12 @@ class MappingConfig:
         return None
 
 
-@dataclass(frozen=True)
-class Principal:
-    username: str
-    tenant: str
-    enabled: bool = True
-    created_by: str = "manual"  # "manual" | "auto"
-
-
-@dataclass(frozen=True)
-class Decision:
-    tenant: str
-    username: str
-    created: bool = False
-
-
-@dataclass(frozen=True)
-class Denial:
-    reason: str  # vo-not-allowed | user-not-allowed | unknown-principal | disabled | expired
-    detail: str = ""
+# created_by: "manual" | "auto"
+Principal = namedtuple("Principal", "username tenant enabled created_by",
+                       defaults=(True, "manual"))
+Decision = namedtuple("Decision", "tenant username created", defaults=(False,))
+# reason: vo-not-allowed | user-not-allowed | unknown-principal | disabled | expired
+Denial = namedtuple("Denial", "reason detail", defaults=("",))
 
 
 class PrincipalStore:
@@ -155,7 +135,7 @@ def _owner_only(path, flags):
 
 
 def _line(p: Principal) -> bytes:
-    return json.dumps(vars(p), separators=(",", ":")).encode("utf-8") + b"\n"
+    return json.dumps(p._asdict(), separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 class JsonPrincipalStore(PrincipalStore):
@@ -282,13 +262,8 @@ def map_username(config: MappingConfig, store: PrincipalStore, username: str):
 # --- tokens -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
-    subject: str
-    tenant: str
-    issued_at: float
-    expires_at: float
-    signature: bytes
+class Token(namedtuple("Token", "subject tenant issued_at expires_at signature")):
+    __slots__ = ()
 
     def encode(self) -> str:
         body = _canonical_body(self.subject, self.tenant, self.issued_at, self.expires_at)

@@ -108,7 +108,9 @@ def test_speedup_curve_linear():
     dict(real_s=math.inf, user_s=1, sys_s=0),
     dict(real_s=1, user_s=math.nan, sys_s=0),
     dict(real_s=1, user_s=0, sys_s=math.inf),
-], ids=["real-nan", "real-inf", "user-nan", "sys-inf"])
+    dict(real_s=True, user_s=0, sys_s=0),
+    dict(real_s=1, user_s=False, sys_s=0),
+], ids=["real-nan", "real-inf", "user-nan", "sys-inf", "real-true", "user-false"])
 def test_timing_record_requires_finite_times(times):
     with pytest.raises(ValueError, match="finite"):
         TimingRecord(**times)

@@ -198,7 +198,9 @@ def _bench_run_text(**record):
     ({"real_s": 0}, False),
     ({"real_s": 1e-310}, False),
     ({}, True),
-], ids=["real-nan", "sys-infinity", "real-zero", "sys-pct-overflow", "baseline-nan"])
+    ({"real_s": True, "user_s": False, "sys_s": False}, False),
+], ids=["real-nan", "sys-infinity", "real-zero", "sys-pct-overflow", "baseline-nan",
+        "real-true"])
 def test_bench_analyze_refuses_bad_times_naming_the_file(record, bad_baseline, tmp_path, capsys):
     run = tmp_path / "run.json"
     run.write_text(_bench_run_text(**record))
@@ -502,7 +504,7 @@ def test_ctx_dry_run_fails_at_an_installer_outside_the_scripts_dir(tmp_path, cap
 
 NOT_FOR_TOKEN_CHECKS = (
     "multiprocessing", "urllib.request", "logging", "phenocloud.catalog", "phenocloud.resolver",
-    "phenocloud.contextualize", "phenocloud.scan", "phenocloud.bench",
+    "phenocloud.contextualize", "phenocloud.scan", "phenocloud.bench", "dataclasses", "inspect",
 )
 
 LOADED_AFTER_CLI = (
@@ -516,12 +518,24 @@ LOADED_AFTER_CLI = (
 )
 
 
-def test_token_verify_imports_no_other_subsystem(tmp_path):
-    token = identity_mod.issue_token(b"k", "s", "t", 60.0, 1000.0).encode()
+TOKEN = identity_mod.issue_token(b"k", "s", "t", 60.0, 1000.0).encode()
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["token", "verify", "--key", "k", "--now", "1030", "--token", TOKEN],
+     '{"subject": "s", "tenant": "t", "issued_at": 1000.0, "expires_at": 1060.0}\n'),
+    (["token", "issue", "--key", "k", "--subject", "s", "--tenant", "t", "--lifetime", "60",
+      "--now", "1000"], TOKEN + "\n"),
+    (["map-user", "--config", "CONFIG", "--user", "bob@ifca.es"],
+     '{"tenant": "ifca", "username": "bob@ifca.es", "created": true}\n'),
+    (["map-vo", "--config", "CONFIG", "--dn", "/DC=es/CN=alice", "--vo", "pheno"],
+     '{"tenant": "pheno", "username": "/DC=es/CN=alice", "created": true}\n'),
+], ids=["token-verify", "token-issue", "map-user", "map-vo"])
+def test_auth_command_imports_no_other_subsystem(argv, out, identity_config_file, tmp_path):
+    argv = [identity_config_file if arg == "CONFIG" else arg for arg in argv]
     src = os.path.dirname(os.path.dirname(phenocloud.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_AFTER_CLI,
-         "auth", "token", "verify", "--key", "k", "--now", "1030", "--token", token],
+        [sys.executable, "-c", LOADED_AFTER_CLI, "auth", *argv],
         capture_output=True,
         text=True,
         timeout=60,
@@ -529,7 +543,7 @@ def test_token_verify_imports_no_other_subsystem(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["subject"] == "s"
+    assert proc.stdout == out
 
 
 PACKAGE_NAMES_LOAD_LAZILY = (

@@ -19,6 +19,7 @@ from phenocloud.identity import (
     MappingConfig,
     Principal,
     PrincipalStore,
+    Token,
     UserRule,
     VoRule,
     issue_token,
@@ -296,7 +297,7 @@ def user_config():
 
 def write_legacy_store(path, principals):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([vars(p) for p in principals], fh, indent=2)
+        json.dump([p._asdict() for p in principals], fh, indent=2)
 
 
 def store_lines(path):
@@ -482,3 +483,38 @@ def test_malformed_store_raises_config_error_naming_where(tmp_path, text, where)
     with pytest.raises(ConfigError) as info:
         JsonPrincipalStore(str(path))
     assert str(path) in str(info.value) and where in str(info.value)
+
+
+# --- records ---------------------------------------------------------------
+
+
+def test_records_keep_their_fields_defaults_repr_and_immutability(tmp_path):
+    path = tmp_path / "principals.json"
+    JsonPrincipalStore(str(path)).add(Principal("u", "t", created_by="auto"))
+    assert path.read_bytes() == (
+        b'{"username":"u","tenant":"t","enabled":true,"created_by":"auto"}\n')
+    inf = float("inf")
+    for by_position, by_keyword, fields in [
+        (Assertion("d"), Assertion(subject_dn="d"),
+         dict(subject_dn="d", vo=None, not_before=0.0, not_after=inf)),
+        (VoRule("v", "t"), VoRule(vo="v", tenant="t"), dict(vo="v", tenant="t", auto_create=False)),
+        (UserRule("p", "t", True), UserRule(tenant="t", pattern="p", auto_create=True),
+         dict(pattern="p", tenant="t", auto_create=True)),
+        (Principal("u", "t"), Principal(tenant="t", username="u"),
+         dict(username="u", tenant="t", enabled=True, created_by="manual")),
+        (Decision("t", "u"), Decision(username="u", tenant="t"),
+         dict(tenant="t", username="u", created=False)),
+        (Denial("disabled"), Denial(reason="disabled"), dict(reason="disabled", detail="")),
+        (Token("s", "t", 1.0, 2.0, b"x"),
+         Token(signature=b"x", expires_at=2.0, issued_at=1.0, tenant="t", subject="s"),
+         dict(subject="s", tenant="t", issued_at=1.0, expires_at=2.0, signature=b"x")),
+    ]:
+        assert by_position == by_keyword
+        assert {name: getattr(by_position, name) for name in fields} == fields
+        with pytest.raises(AttributeError):
+            setattr(by_position, next(iter(fields)), "changed")
+    assert repr(Decision("t", "u")) == "Decision(tenant='t', username='u', created=False)"
+    for bad in [dict(subject_dn=""), dict(subject_dn="d", not_before=float("nan")),
+                dict(subject_dn="d", not_before=2.0, not_after=1.0)]:
+        with pytest.raises(ValueError):
+            Assertion(**bad)

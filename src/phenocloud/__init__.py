@@ -1,5 +1,8 @@
 """Toolkit for catalog-driven VM contextualization, identity mapping,
-embarrassingly parallel parameter scans and process benchmarking."""
+embarrassingly parallel parameter scans and process benchmarking.
+
+Its records are named tuples: immutable, and dataclasses would cost every
+command the import of inspect, ast, dis and tokenize."""
 
 __version__ = "0.1.0"
 

@@ -13,65 +13,60 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
-import resource
+import os
 import shlex
-import subprocess
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from importlib import resources as importlib_resources
 
-from phenocloud.errors import PhenocloudError
-from phenocloud.scan import WorkerFailure, burn, fan_out
+from phenocloud.errors import PhenocloudError, key_problem
 
 
 class BenchError(PhenocloudError):
     pass
 
 
-@dataclass(frozen=True)
-class TimingRecord:
-    real_s: float
-    user_s: float
-    sys_s: float
+class TimingRecord(namedtuple("TimingRecord", "real_s user_s sys_s")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("real_s", "user_s", "sys_s"):
-            if isinstance(getattr(self, name), bool):  # True would pass as 1 s
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if isinstance(value, bool):  # True would pass as 1 s
                 raise ValueError(f"{name} must be a finite number, not a boolean")
         if not 0 < self.real_s < math.inf:
             raise ValueError("real_s must be positive and finite")
         if not (0 <= self.user_s < math.inf and 0 <= self.sys_s < math.inf):
             raise ValueError("CPU times must be non-negative and finite")
+        return self
 
 
-@dataclass(frozen=True)
-class MachineLabel:
-    size_class: str  # S | M | L | XL | R
-    cores: int
-    hyperthreading: bool
-    ram_gb: float
+# size_class: S | M | L | XL | R
+MachineLabel = namedtuple("MachineLabel", "size_class cores hyperthreading ram_gb")
 
 
-@dataclass
-class BenchRun:
-    machine: MachineLabel
-    phase: str
-    processes: int
-    records: list
-    label: str = ""
-    failed: bool = False
-    errors: tuple = ()  # {"index", "reason"} of each process that raised or died
+def _from_mapping(record_type, raw, where):
+    """record_type(**raw); a BenchError naming the key if raw lacks a field or adds one."""
+    problem = key_problem(record_type, raw)
+    if problem:
+        raise BenchError(f"malformed bench run {where}: {problem}")
+    return record_type(**raw)
+
+
+# errors: {"index", "reason"} of each process that raised or died
+class BenchRun(namedtuple("BenchRun", "machine phase processes records label failed errors",
+                          defaults=("", False, ()))):
+    __slots__ = ()
 
     def to_dict(self):
         return {
             "label": self.label,
-            "machine": asdict(self.machine),
+            "machine": self.machine._asdict(),
             "phase": self.phase,
             "processes": self.processes,
             "failed": self.failed,
             "errors": list(self.errors),
-            "records": [asdict(r) for r in self.records],
+            "records": [r._asdict() for r in self.records],
         }
 
     def to_json(self):
@@ -81,10 +76,11 @@ class BenchRun:
     def from_dict(cls, raw):
         try:
             return cls(
-                machine=MachineLabel(**raw["machine"]),
+                machine=_from_mapping(MachineLabel, raw["machine"], "machine"),
                 phase=raw["phase"],
                 processes=raw["processes"],
-                records=[TimingRecord(**r) for r in raw["records"]],
+                records=[_from_mapping(TimingRecord, r, f"record {i}")
+                         for i, r in enumerate(raw["records"])],
                 label=raw.get("label", ""),
                 failed=raw.get("failed", False),
                 errors=tuple(raw.get("errors", ())),
@@ -137,18 +133,18 @@ def speedup_curve(timings) -> list:
 # --- harness -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(namedtuple("Workload", "command work_units", defaults=(None, 0))):
     """Either an external command or a built-in CPU burner."""
 
-    command: tuple | None = None
-    work_units: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.command is not None and not self.command:
             raise ValueError("workload command must be non-empty")
         if self.work_units < 0:
             raise ValueError("work_units must be >= 0")
+        return self
 
     @classmethod
     def from_spec(cls, spec: str) -> "Workload":
@@ -164,6 +160,11 @@ class Workload:
 
 def _child(workload: Workload):
     """One timed copy of the workload; returns (exit status, TimingRecord)."""
+    import resource
+    import subprocess
+
+    from phenocloud.scan import burn
+
     start = time.perf_counter()
     if workload.command is not None:
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -190,13 +191,15 @@ def run_concurrent(workload: Workload, processes: int) -> BenchRun:
     raises or dies has no record but an entry in errors, and the run is
     marked failed.
     """
+    from phenocloud.scan import WorkerFailure, fan_out
+
     if processes < 1:
         raise BenchError("process count must be >= 1")
     results = fan_out(_child, [(workload,)] * processes)
-    failures = [asdict(r) for r in results if isinstance(r, WorkerFailure)]
+    failures = [r._asdict() for r in results if isinstance(r, WorkerFailure)]
     finished = [r for r in results if not isinstance(r, WorkerFailure)]
     return BenchRun(
-        machine=MachineLabel("R", multiprocessing.cpu_count(), False, 0.0),
+        machine=MachineLabel("R", os.cpu_count(), False, 0.0),
         phase="workload",
         processes=processes,
         records=[record for _, record in finished],
@@ -234,24 +237,19 @@ def find_run(runs, label: str, phase: str) -> BenchRun:
     raise BenchError(f"no run labelled {label!r} with phase {phase!r}")
 
 
-@dataclass
-class BenchReport:
+class BenchReport(namedtuple("BenchReport", "run_label phase max_record min_record sys_pct_max "
+                             "baseline_label degradation_pct_vs_baseline",
+                             defaults=(None, None))):
     """Analysis of one run, optionally against a named baseline run."""
 
-    run_label: str
-    phase: str
-    max_record: TimingRecord
-    min_record: TimingRecord
-    sys_pct_max: float
-    baseline_label: str | None = None
-    degradation_pct_vs_baseline: float | None = None
+    __slots__ = ()
 
     def to_dict(self):
         out = {
             "run": self.run_label,
             "phase": self.phase,
-            "max": asdict(self.max_record),
-            "min": asdict(self.min_record),
+            "max": self.max_record._asdict(),
+            "min": self.min_record._asdict(),
             "sys_pct": round(self.sys_pct_max, 4),
         }
         if self.baseline_label is not None:
@@ -268,10 +266,10 @@ def analyze(run: BenchRun, baseline: BenchRun | None = None) -> BenchReport:
         max_record=worst,
         min_record=fastest(run),
         sys_pct_max=sys_pct(worst),
+        baseline_label=None if baseline is None else baseline.label,
+        degradation_pct_vs_baseline=(
+            None if baseline is None else degradation_pct(worst, slowest(baseline))),
     )
-    if baseline is not None:
-        report.baseline_label = baseline.label
-        report.degradation_pct_vs_baseline = degradation_pct(worst, slowest(baseline))
     # Finite times can still overflow a percentage (a subnormal real_s).
     percentages = (report.sys_pct_max, report.degradation_pct_vs_baseline or 0.0)
     if not all(map(math.isfinite, percentages)):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import chain
 
 from phenocloud.errors import CatalogError, NotFoundError
@@ -18,14 +17,10 @@ from phenocloud.errors import CatalogError, NotFoundError
 OVERRIDABLE_FIELDS = ("app_name", "base_url", "file", "dependencies", "installer")
 
 
-@dataclass(frozen=True)
-class ResolvedApp:
+class ResolvedApp(namedtuple("ResolvedApp", "name version_key effective download_url")):
     """An application with one version selected and overrides applied."""
 
-    name: str
-    version_key: str
-    effective: dict
-    download_url: str | None
+    __slots__ = ()
 
     @property
     def dependencies(self):

@@ -17,7 +17,7 @@ import subprocess
 import tempfile
 import time
 import urllib.request
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from phenocloud.catalog import Catalog
 from phenocloud.errors import PhenocloudError
@@ -39,27 +39,24 @@ class DownloadError(PhenocloudError):
     """Archive download failed."""
 
 
-@dataclass(frozen=True)
-class MetadataSource:
-    kind: str  # "fixed-url" | "local-file"
-    location: str
+# kind: "fixed-url" | "local-file"
+class MetadataSource(namedtuple("MetadataSource", "kind location")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("fixed-url", "local-file"):
             raise ValueError(f"unknown metadata source kind {self.kind!r}")
         if not self.location:
             raise ValueError("metadata source location must be non-empty")
+        return self
 
 
-@dataclass
-class StepReport:
-    app: str
-    version: str
-    download: str  # "cached" | "downloaded" | "skipped" | "failed" | "dry-run"
-    download_url: str | None
-    exit_status: int | None  # None when the script did not run
-    duration_s: float
-    output: str = ""
+# download: "cached" | "downloaded" | "skipped" | "failed" | "dry-run";
+# exit_status: None when the script did not run
+class StepReport(namedtuple("StepReport", "app version download download_url exit_status "
+                            "duration_s output", defaults=("",))):
+    __slots__ = ()
 
     def to_dict(self):
         doc = {
@@ -75,11 +72,10 @@ class StepReport:
         return doc
 
 
-@dataclass
-class ExecutionReport:
-    steps: list = field(default_factory=list)
-    failed_at: int | None = None  # step index, None = success
-    dry_run: bool = False
+# failed_at: step index, None = success
+class ExecutionReport(namedtuple("ExecutionReport", "steps failed_at dry_run",
+                                 defaults=(None, False))):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -96,10 +92,7 @@ class ExecutionReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-@dataclass(frozen=True)
-class ImageRecord:
-    image_id: str
-    properties: dict = field(default_factory=dict)
+ImageRecord = namedtuple("ImageRecord", "image_id properties")
 
 
 def filter_ready_images(images) -> list:
@@ -177,7 +170,8 @@ class Contextualizer:
 
     def run(self, request: dict, dry_run: bool = False) -> ExecutionReport:
         plan = self.plan(request)
-        report = ExecutionReport(dry_run=dry_run)
+        steps = []
+        failed_at = None
         scripts_dir = os.path.realpath(self.scripts_dir)
         downloads_dir = os.path.join(self.root, "downloads")
         if not dry_run:
@@ -185,7 +179,7 @@ class Contextualizer:
         for index, step in enumerate(plan.steps):
             start = time.monotonic()
             download, status, output = self._run_step(step, scripts_dir, downloads_dir, dry_run)
-            report.steps.append(StepReport(
+            steps.append(StepReport(
                 app=step.name,
                 version=step.version_key,
                 download=download,
@@ -195,9 +189,9 @@ class Contextualizer:
                 output=output,
             ))
             if download != "dry-run" and status != 0:
-                report.failed_at = index
+                failed_at = index
                 break
-        return report
+        return ExecutionReport(steps, failed_at, dry_run)
 
     def _run_step(self, step, scripts_dir, downloads_dir, dry_run):
         """(download, exit_status, output) of a step; a dry run stops after confinement."""

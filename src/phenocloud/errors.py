@@ -1,4 +1,4 @@
-"""Shared exception hierarchy."""
+"""Shared exception hierarchy, and the wording of a record's key errors."""
 
 
 class PhenocloudError(Exception):
@@ -23,3 +23,19 @@ class CycleError(PhenocloudError):
 
 class DanglingDependencyError(PhenocloudError):
     """An entry depends on an application missing from the catalog."""
+
+
+def key_problem(record_type, raw):
+    """Why the mapping raw cannot build the named tuple record_type: its first
+    missing required field or first key that is no field, as "missing key 'k'"
+    or "unknown key 'k'"; None if neither, or if raw is not a dict."""
+    if not isinstance(raw, dict):
+        return None
+    fields = record_type._fields
+    for key in fields[:len(fields) - len(record_type._field_defaults)]:
+        if key not in raw:
+            return f"missing key {key!r}"
+    for key in raw:
+        if key not in fields:
+            return f"unknown key {key!r}"
+    return None

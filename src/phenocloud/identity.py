@@ -18,17 +18,13 @@ import os
 import re
 from collections import namedtuple
 
-from phenocloud.errors import PhenocloudError
+from phenocloud.errors import PhenocloudError, key_problem
 
 TOKEN_PREFIX = "PCT1"  # token envelope version
 
 
 class ConfigError(PhenocloudError):
     """Mapping configuration is invalid."""
-
-
-# The records are named tuples: immutable, and dataclasses would cost every
-# `phenocloud auth` process the import of inspect, ast, dis and tokenize.
 
 
 class Assertion(namedtuple("Assertion", "subject_dn vo not_before not_after",
@@ -216,7 +212,8 @@ class JsonPrincipalStore(PrincipalStore):
         try:
             p = Principal(**record)
         except TypeError as exc:
-            raise ConfigError(f"malformed principal store {self.path} {where}: {exc}") from exc
+            problem = key_problem(Principal, record) or exc
+            raise ConfigError(f"malformed principal store {self.path} {where}: {problem}") from exc
         if not (isinstance(p.username, str) and isinstance(p.tenant, str)
                 and isinstance(p.created_by, str) and isinstance(p.enabled, bool)):
             raise ConfigError(f"malformed principal store {self.path} {where}: username, "

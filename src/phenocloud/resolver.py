@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 
 from phenocloud.catalog import Catalog, effective_version
 from phenocloud.errors import CycleError, DanglingDependencyError, NotFoundError
 
 
-@dataclass(frozen=True)
-class InstallPlan:
-    steps: tuple  # ResolvedApp, dependencies always before dependents
+# steps: ResolvedApp, dependencies always before dependents
+class InstallPlan(namedtuple("InstallPlan", "steps")):
+    __slots__ = ()
 
     def names(self):
         return [s.name for s in self.steps]

@@ -16,7 +16,7 @@ import multiprocessing
 import os
 import subprocess
 import zlib
-from dataclasses import dataclass
+from collections import namedtuple
 from multiprocessing.connection import wait
 
 from phenocloud.errors import PhenocloudError
@@ -33,21 +33,19 @@ class ScanError(PhenocloudError):
     pass
 
 
-@dataclass(frozen=True)
-class ScanGrid:
-    ma_min: float = 90.0
-    ma_max: float = 500.0
-    tb_min: float = 1.1
-    tb_max: float = 60.0
-    steps_per_axis: int = 120
+class ScanGrid(namedtuple("ScanGrid", "ma_min ma_max tb_min tb_max steps_per_axis",
+                          defaults=(90.0, 500.0, 1.1, 60.0, 120))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.steps_per_axis < 1:
             raise ValueError("steps_per_axis must be >= 1")
         if not all(map(math.isfinite, (self.ma_min, self.ma_max, self.tb_min, self.tb_max))):
             raise ValueError("parameter ranges must be finite")
         if not (self.ma_min < self.ma_max and self.tb_min < self.tb_max):
             raise ValueError("parameter ranges must be non-empty")
+        return self
 
     @property
     def n_points(self):
@@ -71,11 +69,9 @@ def build_grid(grid: ScanGrid, lo: int = 0, hi: int | None = None):
     return [(ma_axis[i // steps], tb_axis[i % steps]) for i in range(grid.n_points)[lo:hi]]
 
 
-@dataclass(frozen=True)
-class Partition:
-    worker_index: int
-    lo: int
-    hi: int  # half-open
+# The worker's share is the half-open index range [lo, hi).
+class Partition(namedtuple("Partition", "worker_index lo hi")):
+    __slots__ = ()
 
     @property
     def size(self):
@@ -169,10 +165,7 @@ def _evaluate_command(points, first_index, command, timeout_per_point):
     return [line.rstrip("\n") + "\n" for line in lines]
 
 
-@dataclass(frozen=True)
-class WorkerFailure:
-    index: int
-    reason: str  # one line
+WorkerFailure = namedtuple("WorkerFailure", "index reason")  # reason: one line
 
 
 def _report(index, target, args, barrier, conn):

@@ -192,16 +192,19 @@ def _bench_run_text(**record):
     })
 
 
-@pytest.mark.parametrize("record,bad_baseline", [
-    ({"real_s": float("nan")}, False),
-    ({"sys_s": float("inf")}, False),
-    ({"real_s": 0}, False),
-    ({"real_s": 1e-310}, False),
-    ({}, True),
-    ({"real_s": True, "user_s": False, "sys_s": False}, False),
+@pytest.mark.parametrize("record,bad_baseline,message", [
+    ({"real_s": float("nan")}, False, "real_s must be positive and finite"),
+    ({"sys_s": float("inf")}, False, "CPU times must be non-negative and finite"),
+    ({"real_s": 0}, False, "real_s must be positive and finite"),
+    ({"real_s": 1e-310}, False, "times out of range: a percentage overflows"),
+    ({}, True, "real_s must be positive and finite"),
+    ({"real_s": True, "user_s": False, "sys_s": False}, False,
+     "real_s must be a finite number, not a boolean"),
+    ({"x": 1}, False, "malformed bench run record 0: unknown key 'x'"),
 ], ids=["real-nan", "sys-infinity", "real-zero", "sys-pct-overflow", "baseline-nan",
-        "real-true"])
-def test_bench_analyze_refuses_bad_times_naming_the_file(record, bad_baseline, tmp_path, capsys):
+        "real-true", "record-unknown-key"])
+def test_bench_analyze_refuses_bad_times_naming_the_file(record, bad_baseline, message, tmp_path,
+                                                         capsys):
     run = tmp_path / "run.json"
     run.write_text(_bench_run_text(**record))
     argv = ["bench", "analyze", str(run), "--report", "json"]
@@ -214,8 +217,7 @@ def test_bench_analyze_refuses_bad_times_naming_the_file(record, bad_baseline, t
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: ")
+    assert captured.err == f"error: {bad}: {message}\n"
 
 
 def test_global_config_supplies_catalog(catalog_file, metadata_file, tmp_path,
@@ -284,6 +286,10 @@ BAD_INPUTS = [
     pytest.param(["auth", "token", "verify", "--key", "k", "--token", "x"], "{not_json}",
                  id="pheno-config-not-json"),
     pytest.param(["bench", "analyze", "{empty}"], None, id="bench-analyze-empty"),
+    pytest.param(["bench", "analyze", "{machine_without_ram}"], None,
+                 id="bench-analyze-machine-missing-key"),
+    pytest.param(["bench", "analyze", "{machine_with_x}"], None,
+                 id="bench-analyze-machine-unknown-key"),
     pytest.param(["ctx", "images", "--registry", "{no_id}"], None, id="registry-without-id"),
     pytest.param(["ctx", "plan", "--catalog", "{versions_list}", "--metadata", "{request_a}"],
                  None, id="catalog-versions-list"),
@@ -361,7 +367,10 @@ def test_bad_input_is_a_one_line_error(argv, pheno_config, identity_config_file,
                        ("catalog_a", '{"A": {%s}}' % A_ENTRY),
                        ("signing_key_number", '{"signing_key": 5}'),
                        ("root_list", '{"root": ["x"]}'),
-                       ("catalog_number", '{"catalog": 5}')]:
+                       ("catalog_number", '{"catalog": 5}'),
+                       ("machine_without_ram", _bench_run_text().replace(', "ram_gb": 1', "")),
+                       ("machine_with_x", _bench_run_text().replace('"ram_gb": 1',
+                                                                    '"ram_gb": 1, "x": 1'))]:
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(text)
     monkeypatch.delenv("PHENO_CONFIG", raising=False)
@@ -373,6 +382,7 @@ def test_bad_input_is_a_one_line_error(argv, pheno_config, identity_config_file,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "()" not in lines[0]  # it names the input, not a Python callable
 
 
 def test_pheno_config_value_that_is_not_a_string_names_file_and_key(tmp_path, monkeypatch,
@@ -506,14 +516,18 @@ NOT_FOR_TOKEN_CHECKS = (
     "multiprocessing", "urllib.request", "logging", "phenocloud.catalog", "phenocloud.resolver",
     "phenocloud.contextualize", "phenocloud.scan", "phenocloud.bench", "dataclasses", "inspect",
 )
+NOT_FOR_ANY_COMMAND = ("dataclasses", "inspect")
+NOT_FOR_ONE_PROCESS = NOT_FOR_ANY_COMMAND + ("multiprocessing",)  # starts no worker
 
+# Runs the CLI on argv[2:] and fails naming any module of argv[1] (space-separated) it loaded.
 LOADED_AFTER_CLI = (
     "import runpy, sys\n"
+    "forbidden = sys.argv.pop(1).split()\n"
     "try:\n"
     "    runpy.run_module('phenocloud.cli', run_name='__main__')\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    f"loaded = [name for name in {NOT_FOR_TOKEN_CHECKS!r} if name in sys.modules]\n"
+    "loaded = [name for name in forbidden if name in sys.modules]\n"
     "sys.exit(f'loaded: {loaded}' if loaded else code)\n"
 )
 
@@ -521,21 +535,38 @@ LOADED_AFTER_CLI = (
 TOKEN = identity_mod.issue_token(b"k", "s", "t", 60.0, 1000.0).encode()
 
 
-@pytest.mark.parametrize("argv,out", [
-    (["token", "verify", "--key", "k", "--now", "1030", "--token", TOKEN],
-     '{"subject": "s", "tenant": "t", "issued_at": 1000.0, "expires_at": 1060.0}\n'),
-    (["token", "issue", "--key", "k", "--subject", "s", "--tenant", "t", "--lifetime", "60",
-      "--now", "1000"], TOKEN + "\n"),
-    (["map-user", "--config", "CONFIG", "--user", "bob@ifca.es"],
-     '{"tenant": "ifca", "username": "bob@ifca.es", "created": true}\n'),
-    (["map-vo", "--config", "CONFIG", "--dn", "/DC=es/CN=alice", "--vo", "pheno"],
-     '{"tenant": "pheno", "username": "/DC=es/CN=alice", "created": true}\n'),
-], ids=["token-verify", "token-issue", "map-user", "map-vo"])
-def test_auth_command_imports_no_other_subsystem(argv, out, identity_config_file, tmp_path):
-    argv = [identity_config_file if arg == "CONFIG" else arg for arg in argv]
+@pytest.mark.parametrize("argv,out,forbidden", [
+    (["auth", "token", "verify", "--key", "k", "--now", "1030", "--token", TOKEN],
+     '{"subject": "s", "tenant": "t", "issued_at": 1000.0, "expires_at": 1060.0}\n',
+     NOT_FOR_TOKEN_CHECKS),
+    (["auth", "token", "issue", "--key", "k", "--subject", "s", "--tenant", "t", "--lifetime",
+      "60", "--now", "1000"], TOKEN + "\n", NOT_FOR_TOKEN_CHECKS),
+    (["auth", "map-user", "--config", "{config}", "--user", "bob@ifca.es"],
+     '{"tenant": "ifca", "username": "bob@ifca.es", "created": true}\n', NOT_FOR_TOKEN_CHECKS),
+    (["auth", "map-vo", "--config", "{config}", "--dn", "/DC=es/CN=alice", "--vo", "pheno"],
+     '{"tenant": "pheno", "username": "/DC=es/CN=alice", "created": true}\n',
+     NOT_FOR_TOKEN_CHECKS),
+    (["ctx", "plan", "--catalog", "{catalog}", "--metadata", "{metadata}"], None,
+     NOT_FOR_ONE_PROCESS),
+    (["ctx", "run", "--catalog", "{catalog}", "--metadata", "{metadata}", "--root", "{root}",
+      "--dry-run"], None, NOT_FOR_ONE_PROCESS),
+    (["ctx", "images", "--registry", "{registry}"], '[\n  "a"\n]\n', NOT_FOR_ONE_PROCESS),
+    (["scan", "run", "--steps", "2", "--out", "{out}"], None, NOT_FOR_ANY_COMMAND),
+    (["bench", "run", "--processes", "1", "--work-units", "1000"], None, NOT_FOR_ANY_COMMAND),
+    (["bench", "analyze", "{run}"], None, NOT_FOR_ONE_PROCESS + ("subprocess",)),
+], ids=["token-verify", "token-issue", "map-user", "map-vo", "ctx-plan", "ctx-run-dry-run",
+        "ctx-images", "scan-run", "bench-run", "bench-analyze"])
+def test_auth_command_imports_no_other_subsystem(argv, out, forbidden, identity_config_file,
+                                                 catalog_file, metadata_file, tmp_path):
+    files = {"config": identity_config_file, "catalog": catalog_file, "metadata": metadata_file,
+             "root": str(tmp_path), "registry": str(tmp_path / "registry.json"),
+             "out": str(tmp_path / "scan.dat"), "run": str(tmp_path / "run.json")}
+    (tmp_path / "registry.json").write_text('[{"id": "a", "properties": {"feynapps": "true"}}]')
+    (tmp_path / "run.json").write_text(_bench_run_text())
     src = os.path.dirname(os.path.dirname(phenocloud.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_AFTER_CLI, "auth", *argv],
+        [sys.executable, "-c", LOADED_AFTER_CLI, " ".join(forbidden),
+         *[arg.format(**files) for arg in argv]],
         capture_output=True,
         text=True,
         timeout=60,
@@ -543,7 +574,10 @@ def test_auth_command_imports_no_other_subsystem(argv, out, identity_config_file
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == out
+    if out is None:
+        json.loads(proc.stdout)  # one JSON document, nothing else
+    else:
+        assert proc.stdout == out
 
 
 PACKAGE_NAMES_LOAD_LAZILY = (

@@ -460,9 +460,12 @@ def test_new_store_is_readable_by_its_owner_only(tmp_path):
 
 
 @pytest.mark.parametrize("text,where", [
-    ('[{"username": "x"}]', "record 0"),
+    ('[{"username": "x"}]', "record 0: missing key 'tenant'"),
     ('{"username":"a","tenant":"t","enabled":true,"created_by":"manual"}\nnot json\n', "line 2"),
-    ('{"username":"a","tenant":"t"}\n{"username":"b"}\n', "line 2"),
+    ('{"username":"a","tenant":"t"}\n{"username":"b"}\n', "line 2: missing key 'tenant'"),
+    ('[{"username":"a","tenant":"t","x":1}]', "record 0: unknown key 'x'"),
+    ('{"username":"a","tenant":"t"}\n{"tenant":"t","username":"b","admin":true}\n',
+     "line 2: unknown key 'admin'"),
     ('[{"username":"a","tenant":"t","enabled":"false"}]', "record 0"),
     ('{"username":"a","tenant":"t"}\n{"username":"b","tenant":"t","enabled":"false"}\n',
      "line 2"),
@@ -473,7 +476,8 @@ def test_new_store_is_readable_by_its_owner_only(tmp_path):
     ('[\n{"username":"a","tenant":"t"}\n]\n{"username":"b","tenant":"t"}\nnot json\n',
      "line 5"),  # counted as in the file, array lines included
     ('[{"username":"caf\xe9","tenant":"t"}]\n', "byte 0xe9"),
-], ids=["legacy-missing-key", "journal-not-json", "journal-missing-key", "legacy-enabled-string",
+], ids=["legacy-missing-key", "journal-not-json", "journal-missing-key", "legacy-unknown-key",
+        "journal-unknown-key", "legacy-enabled-string",
         "journal-enabled-string", "journal-enabled-number", "journal-username-number",
         "journal-tenant-list", "journal-created-by-null", "journal-after-three-line-array",
         "legacy-not-utf8"])

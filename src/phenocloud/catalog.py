@@ -76,21 +76,30 @@ class Catalog:
         return isinstance(other, Catalog) and self._fields() == other._fields()
 
 
-def _typed(raw, f, name, version_key=None):
-    """raw[f], a dependencies list as a tuple; CatalogError naming the entry
-    (and version) if the value has the wrong JSON type."""
-    value = raw[f]
-    if f == "dependencies":
-        ok = isinstance(value, list)
-        for dep in value if ok else ():  # all() over a generator costs 3x on lists this short
-            ok = ok and isinstance(dep, str)
-        if ok:
-            return tuple(value)
-    elif isinstance(value, str):
-        return value
+def _type_error(f, name, version_key=None) -> CatalogError:
+    """The error for field f of the wrong JSON type, naming the entry (and version)."""
     version = "" if version_key is None else f": version {version_key!r}"
     kind = "a list of strings" if f == "dependencies" else "a string"
-    raise CatalogError(f"entry {name!r}{version}: {f!r} must be {kind}")
+    return CatalogError(f"entry {name!r}{version}: {f!r} must be {kind}")
+
+
+def _typed(raw, f, name, share, version_key=None):
+    """raw[f] through share (a file as it is), a dependencies list as a
+    tuple of shared names; _type_error if the value has the wrong JSON type."""
+    value = raw[f]
+    if f == "dependencies":
+        if isinstance(value, list):
+            names = []
+            for dep in value:
+                if not isinstance(dep, str):
+                    break
+                names.append(share(dep, dep))
+            else:
+                return tuple(names)
+    elif isinstance(value, str):
+        # A file is most often one version's own, so sharing it would only grow the table.
+        return value if f == "file" else share(value, value)
+    raise _type_error(f, name, version_key)
 
 
 def parse_catalog(text: str) -> Catalog:
@@ -99,7 +108,11 @@ def parse_catalog(text: str) -> Catalog:
     Unknown fields are ignored for forward compatibility.  Raises
     CatalogError on malformed JSON, a missing mandatory field or a field of
     the wrong JSON type in any entry; validate_catalog checks what
-    dependencies name.
+    dependencies name.  The first failing check is reported: entries in
+    document order, and in each entry every version's version_name,
+    app_version and overrides before the entry's own fields, fields in
+    OVERRIDABLE_FIELDS order.  Equal names, installers, base URLs and
+    version names are kept as one object, a dependency as the key it names.
     """
     try:
         raw = json.loads(text)
@@ -109,6 +122,11 @@ def parse_catalog(text: str) -> Catalog:
         ) from exc
     if not isinstance(raw, dict):
         raise CatalogError("catalog must be a JSON object")
+    # share(s, s) returns the first string equal to s, the keys first, so a
+    # dependency is the very key it names and a dict lookup by it stops at
+    # the identity check.
+    share = dict(zip(raw, raw)).setdefault
+    plain = {}  # version name -> the one spec of a version that overrides nothing
     checked = {}
     for name, body in raw.items():
         if not isinstance(body, dict):
@@ -124,21 +142,28 @@ def parse_catalog(text: str) -> Catalog:
             if not isinstance(vraw, dict):
                 raise CatalogError(f"entry {name!r}: version {vk!r} must be an object")
             for f in ("version_name", "app_version"):
-                if f in vraw:
-                    _typed(vraw, f, name, vk)
+                if not isinstance(vraw.get(f, ""), str):
+                    raise _type_error(f, name, vk)
             # The prose mandates version_name but real catalogs carry
-            # app_version; accept either, fall back to the map key.
-            spec = [vraw.get("version_name") or vraw.get("app_version") or vk]
+            # app_version; accept either, fall back to the map key, which
+            # json.loads already shares between entries.
+            vname = vraw.get("version_name") or vraw.get("app_version") or vk
+            vname = vk if vname == vk else share(vname, vname)
+            overrides = ()
             for f in OVERRIDABLE_FIELDS:
                 if f in vraw:
-                    value = _typed(vraw, f, name, vk)
-                    spec += (f, value)
+                    value = _typed(vraw, f, name, share, vk)
+                    overrides += (f, value)
                     if f == "dependencies":
                         overridden.append(value)
-            versions[vk] = tuple(spec)
-        app_name, base_url, file, deps, installer = [
-            _typed(body, f, name) if f in body else None for f in OVERRIDABLE_FIELDS
-        ]
+            if overrides:
+                versions[vk] = (vname,) + overrides
+            else:
+                versions[vk] = plain.get(vname) or plain.setdefault(vname, (vname,))
+        fields = []  # a loop: a list comprehension costs one more call per entry
+        for f in OVERRIDABLE_FIELDS:
+            fields.append(_typed(body, f, name, share) if f in body else None)
+        app_name, base_url, file, deps, installer = fields
         deps = deps or ()
         edges = tuple(dict.fromkeys(chain(deps, *overridden))) if overridden else deps
         checked[name] = _Checked(app_name, base_url, file, deps, installer, versions, edges)

@@ -10,13 +10,9 @@ the scripts directory, as a real run does, but touches nothing.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
-import subprocess
-import tempfile
 import time
-import urllib.request
 from collections import namedtuple
 
 from phenocloud.catalog import Catalog
@@ -107,6 +103,7 @@ def fetch_metadata(source: MetadataSource) -> dict:
             with open(source.location, encoding="utf-8") as fh:
                 text = fh.read()
         else:
+            import urllib.request
             with urllib.request.urlopen(source.location, timeout=URL_TIMEOUT_S) as resp:
                 text = resp.read().decode("utf-8")
     except OSError as exc:
@@ -130,6 +127,7 @@ def fetch_metadata(source: MetadataSource) -> dict:
 @contextlib.contextmanager
 def _replacing(dest):
     """Yield a binary temp file beside dest that replaces dest only if the block succeeds."""
+    import tempfile
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(dest), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as out:
@@ -147,6 +145,7 @@ def _download(url: str, dest: str) -> str:
     """
     if os.path.exists(dest):
         return "cached"
+    import urllib.request
     try:
         with urllib.request.urlopen(url, timeout=URL_TIMEOUT_S) as resp, _replacing(dest) as out:
             while True:
@@ -202,6 +201,8 @@ class Contextualizer:
             return "skipped", None, reason
         if dry_run:
             return "dry-run", None, ""
+        import hashlib
+        import subprocess
         archive = ""
         download = "skipped"
         if step.download_url:

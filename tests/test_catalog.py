@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +62,19 @@ def test_version_name_and_app_version_must_be_strings(version):
         CatalogError, match=r"entry 'App': version '1': '(version_name|app_version)' must be a string"
     ):
         parse_catalog(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry,error", [
+    ({"installer": "x.sh", "versions": {"1": {"file": 6, "version_name": 5}}},
+     "entry 'App': version '1': 'version_name' must be a string"),
+    ({"installer": 5, "base_url": 6, "versions": {"1": {}}},
+     "entry 'App': 'base_url' must be a string"),
+], ids=["version", "entry"])
+def test_the_first_wrong_field_in_check_order_is_reported(entry, error):
+    # The fields are listed out of check order, so document order would name the other one.
+    with pytest.raises(CatalogError) as info:
+        parse_catalog(json.dumps({"App": entry}))
+    assert str(info.value) == error
 
 
 def test_type_error_in_an_entry_no_request_reaches_is_raised_by_parse():
@@ -230,3 +244,58 @@ def test_override_merge_is_idempotent_and_field_local(version_overrides):
             else:
                 assert eff[field_name] == doc["App"].get(field_name)
         assert eff["installer"] == "x.sh"  # unrelated field never changes
+
+
+def _one_object_per_value(values):
+    first = {}
+    return all(first.setdefault(value, value) is value for value in values)
+
+
+def test_parsed_catalog_keeps_one_object_per_distinct_value():
+    # Names of two or more characters: CPython keeps one object per 1-character string anyway.
+    doc = {
+        "Alpha": {"installer": "x.sh", "base_url": "http://h/", "app_name": "suite",
+                  "dependencies": ["Beta"], "versions": {
+                      "1.0": {}, "2.0": {"version_name": "2.0"},
+                      "3.0": {"dependencies": ["Gamma", "Beta"]}, "4.0": {"app_version": "pretty"}}},
+        "Beta": {"installer": "x.sh", "base_url": "http://h/", "app_name": "suite",
+                 "dependencies": ["Gamma"], "versions": {
+                     "1.0": {"version_name": "1.0"},
+                     "2.0": {"app_version": "pretty", "dependencies": ["Gamma"]}}},
+        "Gamma": {"installer": "x.sh", "versions": {
+            "1.0": {}, "2.0": {"base_url": "http://h/", "installer": "x.sh", "app_name": "suite"}}},
+    }
+    catalog = parse_catalog(json.dumps(doc))
+    key = {name: name for name in catalog}
+    merged = [effective_version(catalog, name, vk) for name in catalog
+              for vk in catalog.version_keys(name)]
+    assert all(dep is key[dep] for name in catalog for dep in catalog.edges(name))
+    assert all(dep is key[dep] for app in merged for dep in app.dependencies)
+    for field in ("installer", "base_url", "app_name", "version_name"):
+        values = [app.effective[field] for app in merged if app.effective[field] is not None]
+        assert len(values) > len(set(values)) and _one_object_per_value(values), field
+    for app in merged:
+        if app.effective["version_name"] == app.version_key:
+            assert app.effective["version_name"] is app.version_key
+    plain = [spec for app in catalog._checked.values() for spec in app.versions.values()
+             if len(spec) == 1]
+    assert sorted(plain) == [("1.0",)] * 3 + [("2.0",)] + [("pretty",)]
+    assert _one_object_per_value(plain)
+
+
+def test_parsed_chain_retains_under_four_times_its_text():
+    names = ["c%05d" % i for i in range(2000)]
+    text = json.dumps({name: {"installer": "install.sh", "dependencies": names[i + 1:i + 2],
+                              "versions": {"1.0": {"version_name": "1.0"}}}
+                       for i, name in enumerate(names)}, sort_keys=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        catalog = parse_catalog(text)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(catalog) == len(names)
+    # 3.7 on CPython 3.11; a copy of each dependency name, installer or plain spec
+    # would each take it above 4.
+    assert retained < 4 * len(text)

@@ -518,6 +518,7 @@ NOT_FOR_TOKEN_CHECKS = (
 )
 NOT_FOR_ANY_COMMAND = ("dataclasses", "inspect")
 NOT_FOR_ONE_PROCESS = NOT_FOR_ANY_COMMAND + ("multiprocessing",)  # starts no worker
+NOT_FOR_LOCAL_READS = NOT_FOR_ONE_PROCESS + ("urllib.request", "subprocess")  # fetches, runs nothing
 
 # Runs the CLI on argv[2:] and fails naming any module of argv[1] (space-separated) it loaded.
 LOADED_AFTER_CLI = (
@@ -547,10 +548,10 @@ TOKEN = identity_mod.issue_token(b"k", "s", "t", 60.0, 1000.0).encode()
      '{"tenant": "pheno", "username": "/DC=es/CN=alice", "created": true}\n',
      NOT_FOR_TOKEN_CHECKS),
     (["ctx", "plan", "--catalog", "{catalog}", "--metadata", "{metadata}"], None,
-     NOT_FOR_ONE_PROCESS),
+     NOT_FOR_LOCAL_READS),
     (["ctx", "run", "--catalog", "{catalog}", "--metadata", "{metadata}", "--root", "{root}",
       "--dry-run"], None, NOT_FOR_ONE_PROCESS),
-    (["ctx", "images", "--registry", "{registry}"], '[\n  "a"\n]\n', NOT_FOR_ONE_PROCESS),
+    (["ctx", "images", "--registry", "{registry}"], '[\n  "a"\n]\n', NOT_FOR_LOCAL_READS),
     (["scan", "run", "--steps", "2", "--out", "{out}"], None, NOT_FOR_ANY_COMMAND),
     (["bench", "run", "--processes", "1", "--work-units", "1000"], None, NOT_FOR_ANY_COMMAND),
     (["bench", "analyze", "{run}"], None, NOT_FOR_ONE_PROCESS + ("subprocess",)),

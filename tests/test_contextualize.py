@@ -6,6 +6,7 @@ import socket
 import stat
 import sys
 import threading
+import urllib.request
 
 import pytest
 
@@ -417,7 +418,7 @@ def test_interrupted_download_leaves_no_file_in_downloads(tmp_path, monkeypatch)
                 return self.chunks.pop()
             raise OSError("connection reset")
 
-    monkeypatch.setattr(contextualize_mod.urllib.request, "urlopen",
+    monkeypatch.setattr(urllib.request, "urlopen",
                         lambda url, timeout: BrokenResponse())
     report = Contextualizer(catalog, scripts_dir=str(scripts), root=str(root)).run({"A": "1.0"})
     assert not report.ok

@@ -17,7 +17,6 @@ import os
 import shlex
 import time
 from collections import namedtuple
-from importlib import resources as importlib_resources
 
 from phenocloud.errors import PhenocloudError, key_problem
 
@@ -221,11 +220,11 @@ FIXTURE_FILES = (
 
 def load_fixture_runs(names=FIXTURE_FILES) -> list:
     """Load the shipped reference timing tables as BenchRun objects."""
+    from importlib import resources
+
     runs = []
     for name in names:
-        text = (
-            importlib_resources.files("phenocloud.fixtures").joinpath(name).read_text()
-        )
+        text = resources.files("phenocloud.fixtures").joinpath(name).read_text()
         runs.extend(BenchRun.from_dict(raw) for raw in json.loads(text))
     return runs
 

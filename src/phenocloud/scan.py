@@ -2,10 +2,11 @@
 
 The grid over (ma, tanb) is split statically into equal contiguous index
 ranges, one per worker process.  Workers evaluate their share with the
-configured kernel and write partial files; the coordinator concatenates
-them in worker order, so the merged file is byte-identical for any worker
-count.  There is no inter-worker communication and no dynamic scheduling:
-per-point cost is near constant, so static shares need no balancing.
+configured kernel and return its lines, written by `format_point` for
+either kernel, through `fan_out`'s pipe; the coordinator writes them in
+worker order, so the output is byte-identical for any worker count.  There
+is no inter-worker communication and no dynamic scheduling: per-point cost
+is near constant, so static shares need no balancing.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ def format_point(ma: float, tanb: float, status: str) -> str:
 
 def _evaluate_command(points, first_index, command, timeout_per_point):
     """Run the command kernel over `points`, whose grid indices start at
-    `first_index`.  Each output line must echo its input point as sent and
-    add one known status."""
+    `first_index`, and return their statuses.  Each output line must echo
+    its input point as sent and add one known status."""
     if not points:  # an empty share starts no command: W workers write what one does
         return []
     inputs = ["%.6g %.6g" % (ma, tb) for ma, tb in points]
@@ -155,14 +156,14 @@ def _evaluate_command(points, first_index, command, timeout_per_point):
         raise ScanError(
             f"kernel emitted {len(lines)} lines for {len(points)} points"
         )
-    for offset, (point, line) in enumerate(zip(inputs, lines)):
-        tokens = line.split()
+    rows = [line.split() for line in lines]
+    for offset, (point, tokens) in enumerate(zip(inputs, rows)):
         if tokens[:2] != point.split() or len(tokens) != 3 or tokens[2] not in STATUSES:
             raise ScanError(
                 f"kernel output for point {first_index + offset}: expected "
-                f"'{point} <{'|'.join(STATUSES)}>', got {line.strip()!r}"
+                f"'{point} <{'|'.join(STATUSES)}>', got {lines[offset].strip()!r}"
             )
-    return [line.rstrip("\n") + "\n" for line in lines]
+    return [tokens[2] for tokens in rows]
 
 
 WorkerFailure = namedtuple("WorkerFailure", "index reason")  # reason: one line
@@ -222,16 +223,13 @@ def fan_out(target, arg_tuples) -> list:
             conn.close()
 
 
-def _worker(grid, part, kernel, work_units, command, timeout_per_point, out):
+def _worker(grid, part, kernel, work_units, command, timeout_per_point):
     points = build_grid(grid, part.lo, part.hi)
     if kernel == "builtin":
-        lines = [format_point(ma, tb, builtin_kernel(ma, tb, work_units)) for ma, tb in points]
+        statuses = (builtin_kernel(ma, tb, work_units) for ma, tb in points)
     else:
-        lines = _evaluate_command(points, part.lo, command, timeout_per_point)
-    part_path = f"{out}.part{part.worker_index}"
-    with open(part_path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-    return part_path
+        statuses = _evaluate_command(points, part.lo, command, timeout_per_point)
+    return "".join(format_point(ma, tb, status) for (ma, tb), status in zip(points, statuses))
 
 
 def run_scan(
@@ -243,42 +241,44 @@ def run_scan(
     command=None,
     timeout_per_point: float | None = None,
 ) -> str:
-    """Evaluate the full grid with `workers` processes and merge the parts.
+    """Evaluate the full grid with `workers` processes and write `out`.
 
-    On success the merged file replaces `out` in one step and the partial
-    files are removed.  On any worker failure `out` is removed and the
-    part files of the workers that succeeded are kept for diagnosis.
+    On success the output replaces `out` in one step.  On any worker
+    failure `out` is removed and the share of each worker that succeeded is
+    written to `<out>.partN` for diagnosis.
     """
     if kernel not in ("builtin", "command"):
         raise ValueError(f"unknown kernel {kernel!r}")
     if kernel == "command" and not command:
         raise ValueError("command kernel requires a command")
+    if timeout_per_point is not None and not 0 < timeout_per_point < math.inf:
+        raise ValueError(f"timeout_per_point must be positive and finite, got {timeout_per_point}")
     if os.path.exists(out) and not os.path.isfile(out):  # e.g. /dev/null: never replace it
         raise ScanError(f"{out} exists and is not a regular file")
     parts = partition(grid.n_points, workers)
     tmp = f"{out}.tmp"
     try:
-        args = [(grid, part, kernel, work_units, command, timeout_per_point, out) for part in parts]
-        part_paths = fan_out(_worker, args)
-        failures = [p for p in part_paths if isinstance(p, WorkerFailure)]
+        args = [(grid, part, kernel, work_units, command, timeout_per_point) for part in parts]
+        shares = fan_out(_worker, args)
+        failures = [s for s in shares if isinstance(s, WorkerFailure)]
         if failures:
-            kept = [p for p in part_paths if not isinstance(p, WorkerFailure)]
+            kept = {f"{out}.part{index}": share for index, share in enumerate(shares)
+                    if not isinstance(share, WorkerFailure)}
+            for path, share in kept.items():
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(share)
             raise ScanError(
                 "; ".join(f"worker {f.index} failed: {f.reason}" for f in failures)
                 + (f"; partial files kept: {', '.join(kept)}" if kept else "")
             )
         with open(tmp, "w", encoding="utf-8") as merged:
             merged.write(HEADER)
-            for part_path in part_paths:
-                with open(part_path, encoding="utf-8") as fh:
-                    merged.write(fh.read())
+            merged.writelines(shares)
         os.replace(tmp, out)
     except BaseException:
-        # A failed scan leaves neither an earlier result nor a half merge.
+        # A failed scan leaves neither an earlier result nor a half write.
         for path in (out, tmp):
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(path)
         raise
-    for part_path in part_paths:
-        os.unlink(part_path)
     return out

@@ -553,8 +553,10 @@ TOKEN = identity_mod.issue_token(b"k", "s", "t", 60.0, 1000.0).encode()
       "--dry-run"], None, NOT_FOR_ONE_PROCESS),
     (["ctx", "images", "--registry", "{registry}"], '[\n  "a"\n]\n', NOT_FOR_LOCAL_READS),
     (["scan", "run", "--steps", "2", "--out", "{out}"], None, NOT_FOR_ANY_COMMAND),
-    (["bench", "run", "--processes", "1", "--work-units", "1000"], None, NOT_FOR_ANY_COMMAND),
-    (["bench", "analyze", "{run}"], None, NOT_FOR_ONE_PROCESS + ("subprocess",)),
+    (["bench", "run", "--processes", "1", "--work-units", "1000"], None,
+     NOT_FOR_ANY_COMMAND + ("importlib.resources",)),
+    (["bench", "analyze", "{run}"], None,
+     NOT_FOR_ONE_PROCESS + ("subprocess", "importlib.resources")),
 ], ids=["token-verify", "token-issue", "map-user", "map-vo", "ctx-plan", "ctx-run-dry-run",
         "ctx-images", "scan-run", "bench-run", "bench-analyze"])
 def test_auth_command_imports_no_other_subsystem(argv, out, forbidden, identity_config_file,
@@ -565,8 +567,10 @@ def test_auth_command_imports_no_other_subsystem(argv, out, forbidden, identity_
     (tmp_path / "registry.json").write_text('[{"id": "a", "properties": {"feynapps": "true"}}]')
     (tmp_path / "run.json").write_text(_bench_run_text())
     src = os.path.dirname(os.path.dirname(phenocloud.__file__))
+    # -S: a site file may import modules the CLI does not; the CLI needs only
+    # the standard library and PYTHONPATH.
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_AFTER_CLI, " ".join(forbidden),
+        [sys.executable, "-S", "-c", LOADED_AFTER_CLI, " ".join(forbidden),
          *[arg.format(**files) for arg in argv]],
         capture_output=True,
         text=True,

@@ -6,7 +6,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "phenocloud").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+MODULES = sorted([*(ROOT / "src" / "phenocloud").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source):

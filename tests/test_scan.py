@@ -282,6 +282,39 @@ def test_failed_worker_keeps_part_files_of_survivors(tmp_path):
     with pytest.raises(ScanError, match="partial files kept"):
         run_scan(SMALL_GRID, workers=2, out=out, kernel="command", command=kernel)
     assert (tmp_path / "scan.dat.part0").exists()
+    # the kept share is worker 0's lines in the scan format, without the header
+    first = partition(SMALL_GRID.n_points, 2)[0]
+    assert (tmp_path / "scan.dat.part0").read_text() == "".join(
+        format_point(ma, tb, "ALLOWED") for ma, tb in build_grid(SMALL_GRID, first.lo, first.hi))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.dat.part0"]
+
+
+def test_command_kernel_lines_are_written_in_the_scan_format(tmp_path):
+    # tabs and padding around a valid answer are accepted, but not copied
+    kernel = r'while read ma tb; do printf "%s\t%s  ALLOWED  \n" "$ma" "$tb"; done'
+    out = tmp_path / "scan.dat"
+    run_scan(SMALL_GRID, workers=2, out=str(out), kernel="command", command=kernel)
+    expected = HEADER + "".join(format_point(ma, tb, "ALLOWED") for ma, tb in build_grid(SMALL_GRID))
+    assert out.read_bytes() == expected.encode()
+
+
+def test_successful_scan_leaves_part_files_of_an_earlier_failure_alone(tmp_path):
+    earlier = {f"scan.dat.part{w}": f"kept by an earlier run {w}\n".encode() for w in (0, 1)}
+    for name, data in earlier.items():
+        (tmp_path / name).write_bytes(data)
+    run_scan(SMALL_GRID, workers=2, out=str(tmp_path / "scan.dat"))
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("scan.dat.part*")} == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.dat", *sorted(earlier)]
+
+
+@pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+def test_bad_timeout_per_point_is_refused_before_any_worker_starts(tmp_path, timeout):
+    marker = tmp_path / "started"
+    kernel = f'touch {marker}; while read ma tb; do echo "$ma $tb ALLOWED"; done'
+    with pytest.raises(ValueError, match="timeout_per_point"):
+        run_scan(SMALL_GRID, workers=2, out=str(tmp_path / "scan.dat"), kernel="command",
+                 command=kernel, timeout_per_point=timeout)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_kernel_rejected(tmp_path):

@@ -12,6 +12,7 @@ import base64
 import fcntl
 import hashlib
 import hmac
+import itertools
 import json
 import math
 import os
@@ -44,49 +45,76 @@ VoRule = namedtuple("VoRule", "vo tenant auto_create", defaults=(False,))
 UserRule = namedtuple("UserRule", "pattern tenant auto_create", defaults=(False,))
 
 
-def _rule_fields(rule, key, where):
-    """(rule[key], tenant, auto_create) of a JSON rule; a ConfigError if a type is wrong."""
-    auto_create = rule.get("auto_create", False)
-    if not (isinstance(rule[key], str) and isinstance(rule["tenant"], str)
-            and isinstance(auto_create, bool)):
-        raise ConfigError(f"{where}: {key} and tenant must be strings, auto_create a boolean")
-    return rule[key], rule["tenant"], auto_create
+def _rules(raw, family, record_type):
+    """The record_type of each JSON rule in raw[family]; a ConfigError naming the
+    rule if one is not an object, lacks a key or has a value of the wrong type."""
+    key = record_type._fields[0]
+    rules = raw.get(family, [])
+    if not isinstance(rules, list):
+        raise ConfigError(f"{family} must be a JSON array")
+    for index, rule in enumerate(rules):
+        where = f"{family}[{index}]"
+        if not isinstance(rule, dict):
+            raise ConfigError(f"{where}: rule must be a JSON object")
+        for name in (key, "tenant"):
+            if name not in rule:
+                raise ConfigError(f"{where}: missing key {name!r}")
+        auto_create = rule.get("auto_create", False)
+        if not (isinstance(rule[key], str) and isinstance(rule["tenant"], str)
+                and isinstance(auto_create, bool)):
+            raise ConfigError(f"{where}: {key} and tenant must be strings, auto_create a boolean")
+        yield record_type(rule[key], rule["tenant"], auto_create)
+
+
+def _shares_alternation(rx):
+    """Whether rx can be one branch of a combined regex: no groups to renumber and no
+    flags, not even a redundant global ``(?u)``, that must stay at a pattern's start."""
+    return not rx.groups and rx.flags == re.UNICODE and not rx.pattern.startswith("(?")
 
 
 class MappingConfig:
-    """Ordered mapping rules; first match wins within each rule family."""
+    """Ordered mapping rules; first match wins within each rule family.
+
+    Each run of consecutive user rules that share an alternation is compiled
+    into one regex, ``(?:p1)()|(?:p2)()|...``: branches are tried in order, so
+    the first pattern that fully matches wins, and its empty group, the last
+    one to match, names its rule. Any other rule is matched alone, in its place.
+    """
 
     def __init__(self, vo_rules=(), user_rules=()):
         self.vo_rules = list(vo_rules)
         self.user_rules = list(user_rules)
-        for rule in self.vo_rules + self.user_rules:
-            if not rule.tenant:
-                raise ConfigError("rule tenant must be non-empty")
-        self._compiled = []
-        for rule in self.user_rules:
+        for family, rules in (("vo_rules", self.vo_rules), ("user_rules", self.user_rules)):
+            for index, rule in enumerate(rules):
+                if not rule.tenant:
+                    raise ConfigError(f"{family}[{index}]: tenant must be non-empty")
+        compiled = []
+        for index, rule in enumerate(self.user_rules):
             try:
-                self._compiled.append(re.compile(rule.pattern))
+                compiled.append(re.compile(rule.pattern))
             except re.error as exc:
-                raise ConfigError(f"bad pattern {rule.pattern!r}: {exc}") from exc
+                raise ConfigError(
+                    f"user_rules[{index}]: bad pattern {rule.pattern!r}: {exc}") from exc
+        self._matchers = []  # (regex, rules): rules[lastindex - 1] matched, or the one rule
+        pairs = zip(compiled, self.user_rules)
+        for shared, run in itertools.groupby(pairs, lambda pair: _shares_alternation(pair[0])):
+            if shared:
+                rxs, rules = zip(*run)
+                branches = "|".join(f"(?:{rx.pattern})()" for rx in rxs)
+                self._matchers.append((re.compile(branches), rules))
+            else:
+                self._matchers += [(rx, (rule,)) for rx, rule in run]
 
     @classmethod
     def from_json(cls, text: str) -> "MappingConfig":
         try:
             raw = json.loads(text)
-            return cls(
-                vo_rules=[
-                    VoRule(*_rule_fields(r, "vo", f"vo_rules[{i}]"))
-                    for i, r in enumerate(raw.get("vo_rules", []))
-                ],
-                user_rules=[
-                    UserRule(*_rule_fields(r, "pattern", f"user_rules[{i}]"))
-                    for i, r in enumerate(raw.get("user_rules", []))
-                ],
-            )
         except json.JSONDecodeError as exc:
             raise ConfigError(f"mapping config is not valid JSON: {exc}") from exc
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed mapping config: {type(exc).__name__}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("mapping config must be a JSON object")
+        return cls(vo_rules=_rules(raw, "vo_rules", VoRule),
+                   user_rules=_rules(raw, "user_rules", UserRule))
 
     def match_vo(self, vo):
         for rule in self.vo_rules:
@@ -95,9 +123,10 @@ class MappingConfig:
         return None
 
     def match_user(self, username):
-        for rule, rx in zip(self.user_rules, self._compiled):
-            if rx.fullmatch(username):
-                return rule
+        for rx, rules in self._matchers:
+            match = rx.fullmatch(username)
+            if match:
+                return rules[match.lastindex - 1] if len(rules) > 1 else rules[0]
         return None
 
 
@@ -130,8 +159,13 @@ def _owner_only(path, flags):
     return os.open(path, flags, 0o600)  # a new store is readable by its owner only
 
 
+# Built once: json.dumps with any non-default argument builds a new encoder per call.
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_compact_sorted = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _line(p: Principal) -> bytes:
-    return json.dumps(p._asdict(), separators=(",", ":")).encode("utf-8") + b"\n"
+    return _compact(p._asdict()).encode("utf-8") + b"\n"
 
 
 class JsonPrincipalStore(PrincipalStore):
@@ -209,6 +243,8 @@ class JsonPrincipalStore(PrincipalStore):
         self._offset, self._lines = len(head), head.count(b"\n")
 
     def _load(self, record, where):
+        if not isinstance(record, dict):
+            raise ConfigError(f"principal store {self.path} {where} is not a JSON object")
         try:
             p = Principal(**record)
         except TypeError as exc:
@@ -272,15 +308,13 @@ class Token(namedtuple("Token", "subject tenant issued_at expires_at signature")
 
 
 def _canonical_body(subject, tenant, issued_at, expires_at) -> bytes:
-    return json.dumps(
+    return _compact_sorted(
         {
             "subject": subject,
             "tenant": tenant,
             "issued_at": issued_at,
             "expires_at": expires_at,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        }
     ).encode("utf-8")
 
 

@@ -2,6 +2,7 @@ import contextlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -176,6 +177,75 @@ def test_permuting_rules_after_first_match_never_changes_decision():
             assert outcome.tenant == baseline.tenant
 
 
+# Global flags come only first; fragments mix groups, backreferences, scoped flags,
+# top-level alternation, anchors and newlines.
+PATTERN_HEADS = ["", "", "", "", "(?i)", "(?u)", "(?#c)(?i)", "(?#c)(?u)", "(?s)"]
+PATTERN_FRAGMENTS = ["a", "b", "A", ".", "a*", "[ab]+", "\n", "\n?", "|", "$", "\\Z", "(a)",
+                     "(a|b)\\1", "(?P<n>a|b)(?P=n)", "(?-i:a)", "(?i:b)", "(?:ab)?", "(?#c)"]
+patterns = st.builds(lambda head, body: head + "".join(body), st.sampled_from(PATTERN_HEADS),
+                     st.lists(st.sampled_from(PATTERN_FRAGMENTS), max_size=4))
+
+
+def compiles(pattern):
+    try:
+        re.compile(pattern)
+    except re.error:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules=st.lists(patterns.filter(compiles), max_size=8).map(
+           lambda ps: [UserRule(p, "t") for p in ps]),
+       usernames=st.lists(st.text(alphabet="abA\n", max_size=3), min_size=1, max_size=8))
+def test_match_user_returns_the_first_rule_that_fully_matches(rules, usernames):
+    config = MappingConfig(user_rules=rules)
+    for username in usernames:
+        expected = next((r for r in rules if re.fullmatch(r.pattern, username)), None)
+        assert config.match_user(username) is expected
+
+
+def test_one_alternation_finds_the_last_of_a_thousand_plain_rules():
+    rules = [UserRule(r"u%d@dept\.example\.org" % i, "t%d" % i) for i in range(1000)]
+    config = MappingConfig(user_rules=rules)
+    assert len(config._matchers) == 1
+    assert config.match_user("u999@dept.example.org") is rules[999]
+    assert config.match_user("u1000@dept.example.org") is None
+
+
+def test_a_grouped_rule_between_two_plain_runs_keeps_its_place():
+    rules = [UserRule("a+|x", "t"), UserRule("b+", "t"), UserRule("(c)\\1", "t"),
+             UserRule("c+", "t"), UserRule("(?i)d", "t"), UserRule("d|cc", "t")]
+    config = MappingConfig(user_rules=rules)
+    assert len(config._matchers) == 5
+    assert [config.match_user(u) for u in ["aa", "b", "cc", "ccc", "D", "d", ""]] == [
+        rules[0], rules[1], rules[2], rules[3], rules[4], rules[4], None]
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"user_rules":[{"pattern":"a"}]}', "user_rules[0]: missing key 'tenant'"),
+    ('{"vo_rules":[{"vo":"v","tenant":"t"},{"tenant":"t"}]}', "vo_rules[1]: missing key 'vo'"),
+    ('{"user_rules":[{"pattern":"a","tenant":""}]}', "user_rules[0]: tenant must be non-empty"),
+    ('{"vo_rules":[{"vo":"v","tenant":"t"},{"vo":"w","tenant":""}]}',
+     "vo_rules[1]: tenant must be non-empty"),
+    ("[]", "mapping config must be a JSON object"),
+    ('"rules"', "mapping config must be a JSON object"),
+    ('{"user_rules":{}}', "user_rules must be a JSON array"),
+    ('{"vo_rules":null}', "vo_rules must be a JSON array"),
+    ('{"user_rules":[{"pattern":"a","tenant":"t"},5]}',
+     "user_rules[1]: rule must be a JSON object"),
+    ('{"vo_rules":[["v","t"]]}', "vo_rules[0]: rule must be a JSON object"),
+    ('{"user_rules":[{"pattern":"a","tenant":"t"},{"pattern":"(","tenant":"t"}]}',
+     "user_rules[1]: bad pattern '(': missing ), unterminated subpattern at position 0"),
+    ('{"user_rules":[{"pattern":5,"tenant":"t"}]}',
+     "user_rules[0]: pattern and tenant must be strings, auto_create a boolean"),
+])
+def test_mapping_config_errors_name_the_key_or_rule(text, message):
+    with pytest.raises(ConfigError) as info:
+        MappingConfig.from_json(text)
+    assert str(info.value) == message
+
+
 # --- principal store ---------------------------------------------------------
 
 
@@ -286,6 +356,22 @@ def test_token_issued_with_integer_times_verifies():
     assert reason is None
     assert (verified.issued_at, verified.expires_at) == (1000.0, 1060.0)
     assert verified == token
+
+
+@pytest.mark.parametrize("subject,tenant,issued_at,expires_at", [
+    ("/CN=José Müller", "phéno", 1000, 1060), ("s", "t", 1_700_000_000.25, 1e300),
+    ("中文\U0001f600", "t\n\"q\"", -0.0, 7), ("", "", 10**20, 1.5e-7)])
+def test_token_and_store_bytes_match_json_dumps(subject, tenant, issued_at, expires_at,
+                                                tmp_path):
+    body = json.dumps({"subject": subject, "tenant": tenant, "issued_at": issued_at,
+                       "expires_at": expires_at}, sort_keys=True, separators=(",", ":"))
+    assert identity_mod._canonical_body(subject, tenant, issued_at, expires_at) == \
+        body.encode("utf-8")
+    principal = Principal(subject, tenant or "t", created_by="auto")
+    path = tmp_path / "principals.json"
+    JsonPrincipalStore(str(path)).add(principal)
+    assert path.read_bytes() == json.dumps(
+        principal._asdict(), separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 # --- principal store journal -------------------------------------------------
@@ -476,11 +562,20 @@ def test_new_store_is_readable_by_its_owner_only(tmp_path):
     ('[\n{"username":"a","tenant":"t"}\n]\n{"username":"b","tenant":"t"}\nnot json\n',
      "line 5"),  # counted as in the file, array lines included
     ('[{"username":"caf\xe9","tenant":"t"}]\n', "byte 0xe9"),
+    ('5\n', "line 1 is not a JSON object"),
+    ('{"username":"a","tenant":"t"}\n"x"\n', "line 2 is not a JSON object"),
+    ('{"username":"a","tenant":"t"}\nnull\n', "line 2 is not a JSON object"),
+    ('{"username":"a","tenant":"t"}\n[1]\n', "line 2 is not a JSON object"),
+    ('[{"username":"a","tenant":"t"},5]', "record 1 is not a JSON object"),
+    ('["x"]', "record 0 is not a JSON object"),
+    ('[null]', "record 0 is not a JSON object"),
+    ('[[1]]', "record 0 is not a JSON object"),
 ], ids=["legacy-missing-key", "journal-not-json", "journal-missing-key", "legacy-unknown-key",
         "journal-unknown-key", "legacy-enabled-string",
         "journal-enabled-string", "journal-enabled-number", "journal-username-number",
         "journal-tenant-list", "journal-created-by-null", "journal-after-three-line-array",
-        "legacy-not-utf8"])
+        "legacy-not-utf8", "journal-number", "journal-string", "journal-null",
+        "journal-array", "legacy-number", "legacy-string", "legacy-null", "legacy-array"])
 def test_malformed_store_raises_config_error_naming_where(tmp_path, text, where):
     path = tmp_path / "principals.json"
     path.write_bytes(text.encode("latin-1"))

@@ -66,19 +66,38 @@ def _rules(raw, family, record_type):
         yield record_type(rule[key], rule["tenant"], auto_create)
 
 
+# A global inline flag group, after any comments: it must stay at a pattern's start.
+_GLOBAL_FLAGS = re.compile(r"(?:\(\?#(?:[^\\)]|\\.)*\))*\(\?[aiLmsux]+\)", re.DOTALL)
+
+
 def _shares_alternation(rx):
     """Whether rx can be one branch of a combined regex: no groups to renumber and no
-    flags, not even a redundant global ``(?u)``, that must stay at a pattern's start."""
-    return not rx.groups and rx.flags == re.UNICODE and not rx.pattern.startswith("(?")
+    flags, not even a redundant global ``(?u)``."""
+    return not rx.groups and rx.flags == re.UNICODE and not _GLOBAL_FLAGS.match(rx.pattern)
+
+
+def _alternations(matchers):
+    """matchers, each (regex, (rule,)), with each run of consecutive ones that share an
+    alternation compiled into one regex, ``(?:p1)()|(?:p2)()|...``: branches are tried
+    in order, so the first pattern that fully matches wins, and its empty group, the
+    last one to match, names its rule. Any other matcher keeps its place."""
+    joined = []
+    for shared, run in itertools.groupby(matchers, lambda m: _shares_alternation(m[0])):
+        if shared:
+            rxs, rules = zip(*((rx, rule) for rx, (rule,) in run))
+            joined.append((re.compile("|".join(f"(?:{rx.pattern})()" for rx in rxs)), rules))
+        else:
+            joined += run
+    return joined
 
 
 class MappingConfig:
     """Ordered mapping rules; first match wins within each rule family.
 
-    Each run of consecutive user rules that share an alternation is compiled
-    into one regex, ``(?:p1)()|(?:p2)()|...``: branches are tried in order, so
-    the first pattern that fully matches wins, and its empty group, the last
-    one to match, names its rule. Any other rule is matched alone, in its place.
+    User rules are matched each alone on the first lookup. The second lookup
+    replaces each run of consecutive plain patterns with one alternation
+    (``_alternations``), so a config loaded for a single lookup, as by
+    ``phenocloud auth map-user``, never pays for compiling it.
     """
 
     def __init__(self, vo_rules=(), user_rules=()):
@@ -88,22 +107,14 @@ class MappingConfig:
             for index, rule in enumerate(rules):
                 if not rule.tenant:
                     raise ConfigError(f"{family}[{index}]: tenant must be non-empty")
-        compiled = []
+        self._matchers = []  # (regex, rules): rules[lastindex - 1] matched, or the one rule
         for index, rule in enumerate(self.user_rules):
             try:
-                compiled.append(re.compile(rule.pattern))
+                self._matchers.append((re.compile(rule.pattern), (rule,)))
             except re.error as exc:
                 raise ConfigError(
                     f"user_rules[{index}]: bad pattern {rule.pattern!r}: {exc}") from exc
-        self._matchers = []  # (regex, rules): rules[lastindex - 1] matched, or the one rule
-        pairs = zip(compiled, self.user_rules)
-        for shared, run in itertools.groupby(pairs, lambda pair: _shares_alternation(pair[0])):
-            if shared:
-                rxs, rules = zip(*run)
-                branches = "|".join(f"(?:{rx.pattern})()" for rx in rxs)
-                self._matchers.append((re.compile(branches), rules))
-            else:
-                self._matchers += [(rx, (rule,)) for rx, rule in run]
+        self._lookups = 0
 
     @classmethod
     def from_json(cls, text: str) -> "MappingConfig":
@@ -123,6 +134,9 @@ class MappingConfig:
         return None
 
     def match_user(self, username):
+        self._lookups += 1
+        if self._lookups == 2:
+            self._matchers = _alternations(self._matchers)
         for rx, rules in self._matchers:
             match = rx.fullmatch(username)
             if match:

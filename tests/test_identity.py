@@ -177,9 +177,11 @@ def test_permuting_rules_after_first_match_never_changes_decision():
             assert outcome.tenant == baseline.tenant
 
 
-# Global flags come only first; fragments mix groups, backreferences, scoped flags,
-# top-level alternation, anchors and newlines.
-PATTERN_HEADS = ["", "", "", "", "(?i)", "(?u)", "(?#c)(?i)", "(?#c)(?u)", "(?s)"]
+# Global flags come only first, after any comments; other heads open a group that is
+# not global. Fragments mix groups, backreferences, scoped flags, top-level
+# alternation, anchors and newlines.
+PATTERN_HEADS = ["", "", "", "", "(?i)", "(?u)", "(?#c)(?i)", "(?#c)(?u)", "(?#c\\))(?u)",
+                 "(?s)", "(?:a|b)", "(?=a)", "(?!b)", "(?#c)", "(?i:a)"]
 PATTERN_FRAGMENTS = ["a", "b", "A", ".", "a*", "[ab]+", "\n", "\n?", "|", "$", "\\Z", "(a)",
                      "(a|b)\\1", "(?P<n>a|b)(?P=n)", "(?-i:a)", "(?i:b)", "(?:ab)?", "(?#c)"]
 patterns = st.builds(lambda head, body: head + "".join(body), st.sampled_from(PATTERN_HEADS),
@@ -200,7 +202,7 @@ def compiles(pattern):
        usernames=st.lists(st.text(alphabet="abA\n", max_size=3), min_size=1, max_size=8))
 def test_match_user_returns_the_first_rule_that_fully_matches(rules, usernames):
     config = MappingConfig(user_rules=rules)
-    for username in usernames:
+    for username in usernames + usernames:  # the first lookup matches each rule alone
         expected = next((r for r in rules if re.fullmatch(r.pattern, username)), None)
         assert config.match_user(username) is expected
 
@@ -208,18 +210,29 @@ def test_match_user_returns_the_first_rule_that_fully_matches(rules, usernames):
 def test_one_alternation_finds_the_last_of_a_thousand_plain_rules():
     rules = [UserRule(r"u%d@dept\.example\.org" % i, "t%d" % i) for i in range(1000)]
     config = MappingConfig(user_rules=rules)
-    assert len(config._matchers) == 1
+    assert config.match_user("u999@dept.example.org") is rules[999]
+    assert len(config._matchers) == 1000  # one lookup compiles no alternation
     assert config.match_user("u999@dept.example.org") is rules[999]
     assert config.match_user("u1000@dept.example.org") is None
+    assert len(config._matchers) == 1
 
 
 def test_a_grouped_rule_between_two_plain_runs_keeps_its_place():
     rules = [UserRule("a+|x", "t"), UserRule("b+", "t"), UserRule("(c)\\1", "t"),
              UserRule("c+", "t"), UserRule("(?i)d", "t"), UserRule("d|cc", "t")]
     config = MappingConfig(user_rules=rules)
-    assert len(config._matchers) == 5
     assert [config.match_user(u) for u in ["aa", "b", "cc", "ccc", "D", "d", ""]] == [
         rules[0], rules[1], rules[2], rules[3], rules[4], rules[4], None]
+    assert len(config._matchers) == 5
+
+
+def test_groups_that_are_not_global_flags_share_an_alternation():
+    rules = [UserRule(r"(?:alice|bob)@x\.org", "t"), UserRule(r"(?=u)u\d+", "t"),
+             UserRule(r"(?#c\))carol", "t"), UserRule(r"(?#c\))(?u)dave", "t")]
+    config = MappingConfig(user_rules=rules)
+    assert [config.match_user(u) for u in ["bob@x.org", "u7", "carol", "dave", "u"]] == [
+        rules[0], rules[1], rules[2], rules[3], None]
+    assert len(config._matchers) == 2
 
 
 @pytest.mark.parametrize("text,message", [

@@ -1,6 +1,6 @@
 """Concurrent-process benchmark harness and timing analyzer.
 
-The harness starts P identical workload processes behind a launch barrier
+The harness starts P identical workload processes, releases them together
 and records per-process real/user/sys seconds (the measurement model of
 GNU time: wall clock around the process, CPU split from the OS's
 child-process resource accounting).  The analyzer side is pure arithmetic
@@ -167,7 +167,7 @@ def _child(workload: Workload):
     start = time.perf_counter()
     if workload.command is not None:
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        proc = subprocess.run(list(workload.command), capture_output=True)
+        proc = subprocess.run(list(workload.command), stdin=subprocess.DEVNULL, capture_output=True)
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         exit_status = proc.returncode
     else:
@@ -185,10 +185,9 @@ def _child(workload: Workload):
 def run_concurrent(workload: Workload, processes: int) -> BenchRun:
     """Run P copies of the workload simultaneously and time each one.
 
-    All P processes are started first and released together by a barrier,
-    so the measured interval excludes staggered startup.  A copy that
-    raises or dies has no record but an entry in errors, and the run is
-    marked failed.
+    `fan_out` forks all P before releasing them together, so the measured
+    interval excludes staggered startup.  A copy that raises or dies has
+    no record but an entry in errors, and the run is marked failed.
     """
     from phenocloud.scan import WorkerFailure, fan_out
 

@@ -47,7 +47,8 @@ UserRule = namedtuple("UserRule", "pattern tenant auto_create", defaults=(False,
 
 def _rules(raw, family, record_type):
     """The record_type of each JSON rule in raw[family]; a ConfigError naming the
-    rule if one is not an object, lacks a key or has a value of the wrong type."""
+    rule if one is not an object, lacks a key, has an unknown one or has a value
+    of the wrong type."""
     key = record_type._fields[0]
     rules = raw.get(family, [])
     if not isinstance(rules, list):
@@ -56,9 +57,9 @@ def _rules(raw, family, record_type):
         where = f"{family}[{index}]"
         if not isinstance(rule, dict):
             raise ConfigError(f"{where}: rule must be a JSON object")
-        for name in (key, "tenant"):
-            if name not in rule:
-                raise ConfigError(f"{where}: missing key {name!r}")
+        problem = key_problem(record_type, rule)
+        if problem:
+            raise ConfigError(f"{where}: {problem}")
         auto_create = rule.get("auto_create", False)
         if not (isinstance(rule[key], str) and isinstance(rule["tenant"], str)
                 and isinstance(auto_create, bool)):
@@ -124,6 +125,9 @@ class MappingConfig:
             raise ConfigError(f"mapping config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("mapping config must be a JSON object")
+        unknown = [key for key in raw if key not in ("vo_rules", "user_rules")]
+        if unknown:
+            raise ConfigError(f"mapping config: unknown key {unknown[0]!r}")
         return cls(vo_rules=_rules(raw, "vo_rules", VoRule),
                    user_rules=_rules(raw, "user_rules", UserRule))
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-import multiprocessing
 import os
+import pickle
 import subprocess
+import sys
 import zlib
 from collections import namedtuple
-from multiprocessing.connection import wait
 
 from phenocloud.errors import PhenocloudError
 
@@ -135,8 +135,6 @@ def _evaluate_command(points, first_index, command, timeout_per_point):
     """Run the command kernel over `points`, whose grid indices start at
     `first_index`, and return their statuses.  Each output line must echo
     its input point as sent and add one known status."""
-    if not points:  # an empty share starts no command: W workers write what one does
-        return []
     inputs = ["%.6g %.6g" % (ma, tb) for ma, tb in points]
     stdin = "".join(f"{point}\n" for point in inputs)
     timeout = timeout_per_point * len(points) if timeout_per_point else None
@@ -169,58 +167,61 @@ def _evaluate_command(points, first_index, command, timeout_per_point):
 WorkerFailure = namedtuple("WorkerFailure", "index reason")  # reason: one line
 
 
-def _report(index, target, args, barrier, conn):
-    with conn:
+def _report(index, target, args, release, releaser, result):
+    """A forked child: once released, pickle target(*args), or a WorkerFailure
+    if it raises, into its result pipe.  Never returns into the caller's code."""
+    code = 1
+    try:
+        os.close(releaser)  # else the parent closing its copy would not read as EOF here
+        if os.read(release, 1):  # EOF instead: the parent failed before the release
+            try:
+                data = pickle.dumps(target(*args))
+            except Exception as exc:  # sent to the parent instead of printed
+                message = " ".join(str(exc).split())
+                name = type(exc).__name__
+                data = pickle.dumps(WorkerFailure(index, f"{name}: {message}" if message else name))
+            with result:
+                result.write(data)
+        code = 0  # only now: a child that exits 0 has sent a whole pickle, if released
+    finally:
         try:
-            barrier.wait()
-            conn.send(target(*args))
-        except Exception as exc:  # sent to the parent instead of printed
-            message = " ".join(str(exc).split())
-            name = type(exc).__name__
-            conn.send(WorkerFailure(index, f"{name}: {message}" if message else name))
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 def fan_out(target, arg_tuples) -> list:
-    """Run target(*args) for every tuple, each in its own process.
+    """Run target(*args) for every tuple, each in its own forked process.
 
-    All start behind one launch barrier.  Returns, in worker order, each
-    return value or a WorkerFailure; one that dies without reporting aborts
-    the barrier, so no sibling waits forever.  All are joined on return.
-    Targets and arguments must be module-level and picklable.
+    The children wait on one release pipe, written once all are forked, or
+    closed unwritten if this call fails first.  Returns, in worker order,
+    each (picklable) return value or a WorkerFailure for a child that raised
+    or died.  All are reaped and every pipe is closed on every exit path.
     """
-    released = multiprocessing.Event()
-    barrier = multiprocessing.Barrier(len(arg_tuples), action=released.set)
-    procs, conns = [], []
+    release, releaser = os.pipe()
+    readers, pids = [], []
+    sys.stdout.flush()  # else each child would write the buffered output again
+    sys.stderr.flush()
     try:
         for index, args in enumerate(arg_tuples):
-            conn, sender = multiprocessing.Pipe(duplex=False)
-            conns.append(conn)
-            proc = multiprocessing.Process(
-                target=_report, args=(index, target, args, barrier, sender)
-            )
-            with sender:  # the worker alone holds it, so its death reads as EOF
-                proc.start()
-            procs.append(proc)
-        results = [None] * len(conns)
-        pending = {conn: index for index, conn in enumerate(conns)}
-        while pending:
-            for conn in wait(list(pending)):
-                index = pending.pop(conn)
-                try:
-                    results[index] = conn.recv()
-                except EOFError:
-                    if not released.is_set():  # once released, abort would break siblings
-                        barrier.abort()
-                    procs[index].join()
-                    reason = f"exited with code {procs[index].exitcode} before reporting"
-                    results[index] = WorkerFailure(index, reason)
-        return results
+            reader, writer = os.pipe()
+            readers.append(open(reader, "rb"))
+            with open(writer, "wb") as pipe:  # the child alone keeps it: its death reads as EOF
+                if (pid := os.fork()) == 0:
+                    _report(index, target, args, release, releaser, pipe)
+            pids.append(pid)
+        os.write(releaser, bytes(len(pids)))
+        payloads = [pipe.read() for pipe in readers]  # in order: a child blocks on its own alone
     finally:
-        barrier.abort()  # frees workers still waiting if this call failed
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
+        os.close(release)
+        os.close(releaser)
+        for pipe in readers:  # before reaping, so that no child blocks on a write
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    return [pickle.loads(payload) if payload and not code
+            else WorkerFailure(index, f"exited with code {code} before reporting")
+            for index, (payload, code) in enumerate(zip(payloads, codes))]
 
 
 def _worker(grid, part, kernel, work_units, command, timeout_per_point):
@@ -255,7 +256,7 @@ def run_scan(
         raise ValueError(f"timeout_per_point must be positive and finite, got {timeout_per_point}")
     if os.path.exists(out) and not os.path.isfile(out):  # e.g. /dev/null: never replace it
         raise ScanError(f"{out} exists and is not a regular file")
-    parts = partition(grid.n_points, workers)
+    parts = partition(grid.n_points, min(workers, grid.n_points))
     tmp = f"{out}.tmp"
     try:
         args = [(grid, part, kernel, work_units, command, timeout_per_point) for part in parts]

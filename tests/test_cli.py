@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -169,6 +171,34 @@ def test_bench_run_and_analyze(tmp_path, capsys):
     assert code == 0
     reports = json.loads(capsys.readouterr().out)
     assert len(reports) == 1 and "sys_pct" in reports[0]
+
+
+def test_bench_run_children_do_not_read_the_callers_stdin(tmp_path):
+    # stdin stays an open pipe (communicate() would close it): a `cat` that read the
+    # caller's stdin would never return.
+    src = os.path.dirname(os.path.dirname(phenocloud.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "phenocloud.cli", "bench", "run", "--processes", "2",
+         "--workload", "cmd:cat"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        start_new_session=True,
+    )
+    try:
+        code = proc.wait(timeout=30)
+        out, err = proc.stdout.read(), proc.stderr.read()
+    finally:
+        # Kill the whole session, so the workers of a hung run go too.
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()
+    assert code == 0, err
+    assert len(json.loads(out)["records"]) == 2
 
 
 def test_bench_analyze_table(tmp_path, capsys):
@@ -516,9 +546,8 @@ NOT_FOR_TOKEN_CHECKS = (
     "multiprocessing", "urllib.request", "logging", "phenocloud.catalog", "phenocloud.resolver",
     "phenocloud.contextualize", "phenocloud.scan", "phenocloud.bench", "dataclasses", "inspect",
 )
-NOT_FOR_ANY_COMMAND = ("dataclasses", "inspect")
-NOT_FOR_ONE_PROCESS = NOT_FOR_ANY_COMMAND + ("multiprocessing",)  # starts no worker
-NOT_FOR_LOCAL_READS = NOT_FOR_ONE_PROCESS + ("urllib.request", "subprocess")  # fetches, runs nothing
+NOT_FOR_ANY_COMMAND = ("dataclasses", "inspect", "multiprocessing")
+NOT_FOR_LOCAL_READS = NOT_FOR_ANY_COMMAND + ("urllib.request", "subprocess")  # fetches, runs nothing
 
 # Runs the CLI on argv[2:] and fails naming any module of argv[1] (space-separated) it loaded.
 LOADED_AFTER_CLI = (
@@ -550,13 +579,13 @@ TOKEN = identity_mod.issue_token(b"k", "s", "t", 60.0, 1000.0).encode()
     (["ctx", "plan", "--catalog", "{catalog}", "--metadata", "{metadata}"], None,
      NOT_FOR_LOCAL_READS),
     (["ctx", "run", "--catalog", "{catalog}", "--metadata", "{metadata}", "--root", "{root}",
-      "--dry-run"], None, NOT_FOR_ONE_PROCESS),
+      "--dry-run"], None, NOT_FOR_ANY_COMMAND),
     (["ctx", "images", "--registry", "{registry}"], '[\n  "a"\n]\n', NOT_FOR_LOCAL_READS),
     (["scan", "run", "--steps", "2", "--out", "{out}"], None, NOT_FOR_ANY_COMMAND),
     (["bench", "run", "--processes", "1", "--work-units", "1000"], None,
      NOT_FOR_ANY_COMMAND + ("importlib.resources",)),
     (["bench", "analyze", "{run}"], None,
-     NOT_FOR_ONE_PROCESS + ("subprocess", "importlib.resources")),
+     NOT_FOR_ANY_COMMAND + ("subprocess", "importlib.resources")),
 ], ids=["token-verify", "token-issue", "map-user", "map-vo", "ctx-plan", "ctx-run-dry-run",
         "ctx-images", "scan-run", "bench-run", "bench-analyze"])
 def test_auth_command_imports_no_other_subsystem(argv, out, forbidden, identity_config_file,

@@ -252,6 +252,10 @@ def test_groups_that_are_not_global_flags_share_an_alternation():
      "user_rules[1]: bad pattern '(': missing ), unterminated subpattern at position 0"),
     ('{"user_rules":[{"pattern":5,"tenant":"t"}]}',
      "user_rules[0]: pattern and tenant must be strings, auto_create a boolean"),
+    ('{"user_rules":[{"pattern":"a","tenant":"t","autocreate":true}],"vo_rule":[]}',
+     "mapping config: unknown key 'vo_rule'"),
+    ('{"user_rules":[{"pattern":"a","tenant":"t","autocreate":true}],"vo_rules":[]}',
+     "user_rules[0]: unknown key 'autocreate'"),
 ])
 def test_mapping_config_errors_name_the_key_or_rule(text, message):
     with pytest.raises(ConfigError) as info:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from phenocloud import scan
 from phenocloud.scan import (
     HEADER,
     ScanError,
@@ -13,6 +14,7 @@ from phenocloud.scan import (
     build_grid,
     builtin_kernel,
     classify,
+    fan_out,
     format_point,
     partition,
     run_scan,
@@ -206,6 +208,19 @@ def test_command_kernel_is_not_started_for_an_empty_share(tmp_path):
         run_scan(grid, workers=w, out=str(out), kernel="command", command=kernel)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_no_process_is_started_for_an_empty_share(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(target, arg_tuples):
+        calls.append(arg_tuples)
+        return fan_out(target, arg_tuples)
+
+    monkeypatch.setattr(scan, "fan_out", spy)
+    grid = ScanGrid(ma_min=90, ma_max=500, tb_min=1.1, tb_max=60, steps_per_axis=1)
+    run_scan(grid, workers=3, out=str(tmp_path / "scan.dat"))
+    assert [len(arg_tuples) for arg_tuples in calls] == [1]
 
 
 def test_command_kernel_with_unknown_status_is_refused(tmp_path):

@@ -7,6 +7,8 @@ that individual versions may override.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 from collections import namedtuple
 from itertools import chain
@@ -48,6 +50,10 @@ class Catalog:
     def __contains__(self, name):
         return name in self._checked
 
+    def checked(self) -> dict:
+        """name -> the application as parse_catalog checked it; read only."""
+        return self._checked
+
     def _app(self, name) -> _Checked:
         try:
             return self._checked[name]
@@ -76,6 +82,22 @@ class Catalog:
         return isinstance(other, Catalog) and self._fields() == other._fields()
 
 
+def collector_paused(fn):
+    """fn with the cyclic garbage collector off while it runs, and back on
+    after only if it was on when fn was called.  What parsing and planning
+    allocate holds no reference cycle, so a collection there frees nothing."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
 def _type_error(f, name, version_key=None) -> CatalogError:
     """The error for field f of the wrong JSON type, naming the entry (and version)."""
     version = "" if version_key is None else f": version {version_key!r}"
@@ -102,6 +124,7 @@ def _typed(raw, f, name, share, version_key=None):
     raise _type_error(f, name, version_key)
 
 
+@collector_paused
 def parse_catalog(text: str) -> Catalog:
     """Parse and check a JSON catalog document in one pass over its entries.
 
@@ -209,16 +232,13 @@ def join_url(base_url: str | None, filename: str | None) -> str | None:
 
 def effective_version(catalog: Catalog, name: str, version_key: str) -> ResolvedApp:
     """Merge an application's defaults with one version's overrides."""
-    app = catalog._app(name)
-    spec = app.versions.get(version_key)
+    app_name, base_url, file, dependencies, installer, versions, _ = catalog._app(name)
+    spec = versions.get(version_key)
     if spec is None:
         raise NotFoundError(f"application {name!r} has no version {version_key!r}")
-    effective = dict(zip(OVERRIDABLE_FIELDS, app))
-    effective.update(zip(spec[1::2], spec[2::2]))
-    effective["version_name"] = spec[0]
-    return ResolvedApp(
-        name=name,
-        version_key=version_key,
-        effective=effective,
-        download_url=join_url(effective["base_url"], effective["file"]),
-    )
+    effective = {"app_name": app_name, "base_url": base_url, "file": file,
+                 "dependencies": dependencies, "installer": installer, "version_name": spec[0]}
+    if len(spec) > 1:
+        effective.update(zip(spec[1::2], spec[2::2]))
+    return ResolvedApp(name, version_key, effective,
+                       join_url(effective["base_url"], effective["file"]))

@@ -3,8 +3,10 @@ build an install plan, download archives and run installer scripts in order.
 
 Execution is sandboxed under a caller-supplied root directory; scripts run
 unprivileged with APP_NAME / APP_VERSION / APP_ARCHIVE / INSTALL_PREFIX in
-their environment.  A dry run resolves the plan and refuses an installer outside
-the scripts directory, as a real run does, but touches nothing.
+their environment.  A step whose installer lies outside the scripts directory,
+or whose install prefix lies outside the root's apps directory, is skipped
+and fails the run.  A dry run resolves the plan and refuses such steps, as a
+real run does, but touches nothing.
 """
 
 from __future__ import annotations
@@ -199,6 +201,11 @@ class Contextualizer:
         if os.path.commonpath([scripts_dir, script]) != scripts_dir:
             reason = f"installer {installer!r} resolves outside scripts dir {scripts_dir}"
             return "skipped", None, reason
+        # Catalog keys are unchecked: "/tmp/x" or "../.." would leave the sandbox root.
+        apps_dir = os.path.join(self.root, "apps")
+        prefix = os.path.normpath(os.path.join(apps_dir, step.name, step.version_key))
+        if prefix == apps_dir or os.path.commonpath([apps_dir, prefix]) != apps_dir:
+            return "skipped", None, f"install prefix {prefix!r} is not below {apps_dir}"
         if dry_run:
             return "dry-run", None, ""
         import hashlib
@@ -216,7 +223,6 @@ class Contextualizer:
             except DownloadError as exc:
                 return "failed", None, str(exc)
 
-        prefix = os.path.join(self.root, "apps", step.name, step.version_key)
         env = dict(os.environ)
         env.update(
             APP_NAME=step.name,

@@ -4,6 +4,12 @@ Both cycle searches stand on one iterative strongly-connected-component
 routine (Tarjan, SIAM J. Comput. 1(2), 1972), run only on what Kahn's peel
 leaves: an acyclic catalog costs one Kahn pass and no SCC pass.  Nothing
 here recurses, so dependency chains of any depth are handled.
+
+`resolve` selects versions and orders the names on the catalog's checked
+form, and builds a step record (effective_version) only for each step of a
+plan it returns: a request that meets a cycle builds none.  Like
+parse_catalog, it runs with the cyclic garbage collector paused: neither
+allocates reference cycles, so a collection there would free nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import heapq
 import math
 from collections import defaultdict, namedtuple
 
-from phenocloud.catalog import Catalog, effective_version
+from phenocloud.catalog import Catalog, collector_paused, effective_version
 from phenocloud.errors import CycleError, DanglingDependencyError, NotFoundError
 
 
@@ -24,41 +30,47 @@ class InstallPlan(namedtuple("InstallPlan", "steps")):
         return [s.name for s in self.steps]
 
 
-def _default_version(catalog: Catalog, name: str) -> str:
-    # Dependencies carry no version; pick the greatest version key as "latest".
-    return max(catalog.version_keys(name))
+def _select_versions(catalog: Catalog, request: dict):
+    """Select a version for every app in the transitive closure of the
+    request, each once: (name -> version_key, name -> its dependencies).
 
-
-def _select_versions(catalog: Catalog, request: dict) -> dict:
-    """Map every app in the transitive closure of the request to its
-    ResolvedApp, resolving each one once.
-
-    Explicitly requested versions win over the default-version rule.
+    Explicitly requested versions win over the default-version rule:
+    dependencies carry no version, so they get the greatest version key.
     """
+    checked = catalog.checked()
     selected = {}
     for name, version_key in request.items():
-        if name not in catalog:
+        app = checked.get(name)
+        if app is None:
             raise NotFoundError(f"requested application {name!r} not in catalog")
-        if version_key not in catalog.version_keys(name):
+        if version_key not in app.versions:
             raise NotFoundError(
                 f"requested version {version_key!r} of {name!r} does not exist"
             )
         selected[name] = version_key
 
-    resolved = {}
+    edges = {}
     stack = list(selected)
     while stack:
         name = stack.pop()
-        resolved[name] = app = effective_version(catalog, name, selected[name])
-        for dep in app.dependencies:
-            if dep not in catalog:
-                raise DanglingDependencyError(
-                    f"{name!r} depends on {dep!r}, which is not in the catalog"
-                )
+        app = checked[name]
+        spec = app.versions[selected[name]]  # (version_name, field, value, ...)
+        deps = app.dependencies
+        # Only field names are compared: a value may be the string "dependencies".
+        for i in range(1, len(spec), 2):
+            if spec[i] == "dependencies":
+                deps = spec[i + 1]
+                break
+        edges[name] = deps
+        for dep in deps:
             if dep not in selected:
-                selected[dep] = _default_version(catalog, dep)
+                if dep not in checked:
+                    raise DanglingDependencyError(
+                        f"{name!r} depends on {dep!r}, which is not in the catalog"
+                    )
+                selected[dep] = max(checked[dep].versions)
                 stack.append(dep)
-    return resolved
+    return selected, edges
 
 
 def _components(succ, nodes) -> list:
@@ -173,6 +185,7 @@ def _circuits(succ, anchor, members):
                         blocked_by[nxt].add(node)
 
 
+@collector_paused
 def resolve(catalog: Catalog, request: dict) -> InstallPlan:
     """Compute a deterministic install order for the requested applications.
 
@@ -183,8 +196,7 @@ def resolve(catalog: Catalog, request: dict) -> InstallPlan:
     carries the first cycle through the smallest node on any cycle that
     depth-first search finds, starting and ending at that node.
     """
-    resolved = _select_versions(catalog, request)
-    edges = {name: app.dependencies for name, app in resolved.items()}
+    selected, edges = _select_versions(catalog, request)
 
     indegree = {name: len(deps) for name, deps in edges.items()}
     dependents = {name: [] for name in edges}
@@ -194,23 +206,24 @@ def resolve(catalog: Catalog, request: dict) -> InstallPlan:
 
     ready = [name for name, deg in indegree.items() if deg == 0]
     heapq.heapify(ready)
-    steps = []
+    order = []
     while ready:
         name = heapq.heappop(ready)
-        steps.append(resolved[name])
+        order.append(name)
         for dependent in dependents[name]:
             indegree[dependent] -= 1
             if indegree[dependent] == 0:
                 heapq.heappush(ready, dependent)
 
-    if len(steps) != len(edges):
+    if len(order) != len(edges):
         # Every cycle lies among the unplaced apps.
         remaining = {name for name, deg in indegree.items() if deg > 0}
         anchor, members = min(
             (min(c), c) for c in _cyclic_components(edges, remaining)
         )
         raise CycleError(next(_circuits(edges, anchor, set(members))))
-    return InstallPlan(steps=tuple(steps))
+    # Records are built only now, for an order that is returned.
+    return InstallPlan(tuple(effective_version(catalog, name, selected[name]) for name in order))
 
 
 def check_cycles(catalog: Catalog) -> list:

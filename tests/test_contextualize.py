@@ -283,6 +283,37 @@ def test_installer_outside_scripts_dir_never_runs(tmp_path, where, dry_run):
     assert "outside scripts dir" in report.to_dict()["steps"][0]["output"]
 
 
+@pytest.mark.parametrize("spelling,dry_run", [
+    pytest.param(spelling, dry_run, id=spelling + ("-dry-run" if dry_run else ""))
+    for dry_run in (False, True) for spelling in ("absolute-version", "parent-dir-name")
+])
+def test_install_prefix_outside_root_never_runs(tmp_path, spelling, dry_run):
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    marker = tmp_path / "ran"
+    write_script(scripts, "install.sh", f"touch {marker}\n")
+    (tmp_path / "A.tar.gz").write_bytes(b"payload")
+    name, version = {"absolute-version": ("A", str(tmp_path / "elsewhere")),
+                     "parent-dir-name": ("../../..", "1.0")}[spelling]
+    from phenocloud.catalog import parse_catalog
+
+    catalog = parse_catalog(json.dumps({name: {
+        "installer": "install.sh", "base_url": tmp_path.as_uri(), "file": "A.tar.gz",
+        "versions": {version: {}},
+    }}))
+    root = tmp_path / "root"
+    root.mkdir()
+    before = tree_digest(root)
+    report = Contextualizer(catalog, scripts_dir=str(scripts), root=str(root)).run(
+        {name: version}, dry_run=dry_run)
+    assert not marker.exists()
+    assert tree_digest(root) == before  # nothing downloaded
+    assert not report.ok and report.failed_at == 0
+    step = report.to_dict()["steps"][0]
+    assert step["download"] == "skipped" and step["exit_status"] is None
+    assert f"is not below {root / 'apps'}" in step["output"]
+
+
 def test_relative_scripts_dir_is_read_from_the_working_directory(tmp_path, monkeypatch):
     (tmp_path / "scripts").mkdir()
     write_script(tmp_path / "scripts", "A.sh")

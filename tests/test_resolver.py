@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -12,7 +13,8 @@ from phenocloud.catalog import (
     parse_catalog,
     serialize_catalog,
 )
-from phenocloud.errors import CycleError, DanglingDependencyError, NotFoundError
+from phenocloud import catalog as catalog_mod, resolver
+from phenocloud.errors import CatalogError, CycleError, DanglingDependencyError, NotFoundError
 from phenocloud.resolver import check_cycles, resolve
 
 
@@ -154,6 +156,29 @@ def test_check_cycles_follows_version_overrides():
     assert check_cycles(catalog) == [["A", "B", "A"]]
 
 
+def test_dependencies_override_is_found_among_field_names_only():
+    # A and C hold the string "dependencies" as a field value before their
+    # own dependencies override, D overrides its dependencies to none, and
+    # E holds that string as a value but keeps its application-level list.
+    catalog = parse_catalog(json.dumps({
+        "A": {"installer": "i.sh", "dependencies": ["B"],
+              "versions": {"1.0": {"file": "dependencies", "dependencies": ["C"]}}},
+        "B": {"installer": "i.sh", "versions": {"1.0": {}}},
+        "C": {"installer": "i.sh", "dependencies": ["B"],
+              "versions": {"1.0": {"app_name": "dependencies", "dependencies": ["D"]}}},
+        "D": {"installer": "i.sh", "dependencies": ["B"],
+              "versions": {"1.0": {"dependencies": []}}},
+        "E": {"installer": "i.sh", "dependencies": ["B"],
+              "versions": {"1.0": {"file": "dependencies"}}},
+    }))
+    plan = resolve(catalog, {"A": "1.0", "E": "1.0"})
+    assert [(s.name, s.dependencies) for s in plan.steps] == [
+        ("B", ()), ("D", ()), ("C", ("D",)), ("A", ("C",)), ("E", ("B",)),
+    ]
+    assert plan.steps[3].effective["file"] == plan.steps[4].effective["file"] == "dependencies"
+    assert plan.steps[2].effective["app_name"] == "dependencies"
+
+
 def random_dag(rng, n_apps):
     """Random DAG over A..F style names: edges only from later to earlier."""
     names = [chr(ord("A") + i) for i in range(n_apps)]
@@ -257,6 +282,90 @@ def test_resolve_deep_cyclic_chain_raises_cycle_error():
     assert len(cycle) == CHAIN_LENGTH + 1
     for a, b in zip(cycle, cycle[1:]):
         assert b in deps[a]
+
+
+# --- what a plan builds, and the collector -------------------------------------
+
+
+@pytest.fixture
+def effective_version_calls(monkeypatch):
+    """Every call resolve makes to effective_version, with the collector's
+    state during the call."""
+    calls = []
+
+    def counted(catalog, name, version_key):
+        calls.append((name, version_key, gc.isenabled()))
+        return effective_version(catalog, name, version_key)
+
+    monkeypatch.setattr(resolver, "effective_version", counted)
+    return calls
+
+
+def test_cyclic_request_builds_no_step_record(effective_version_calls):
+    deps = chain_deps(cyclic=True)
+    with pytest.raises(CycleError):
+        resolve(make_catalog(deps), {"c00000": "1.0"})
+    assert effective_version_calls == []
+
+
+def test_acyclic_request_builds_one_record_per_step(effective_version_calls):
+    deps = {"D": ["B", "C"], "B": ["A"], "C": ["A"], "A": [], "X": ["A"]}
+    plan = resolve(make_catalog(deps), {"D": "1.0"})
+    assert plan.names() == ["A", "B", "C", "D"]
+    assert effective_version_calls == [(name, "1.0", False) for name in plan.names()]
+
+
+_GC_CATALOGS = {
+    "acyclic": make_catalog({"A": [], "B": ["A"]}),
+    "cyclic": make_catalog({"A": ["B"], "B": ["A"]}),
+    "dangling": make_catalog({"A": ["Z"]}),
+}
+
+
+@pytest.mark.parametrize("call,error", [
+    pytest.param(lambda: parse_catalog('{"A": {"installer": "i.sh", "versions": {"1": {}}}}'),
+                 None, id="parse_catalog-returns"),
+    pytest.param(lambda: parse_catalog('{"A": {"versions": {"1": {}}}}'),
+                 CatalogError, id="parse_catalog-CatalogError"),
+    pytest.param(lambda: resolve(_GC_CATALOGS["acyclic"], {"B": "1.0"}),
+                 None, id="resolve-returns"),
+    pytest.param(lambda: resolve(_GC_CATALOGS["cyclic"], {"A": "1.0"}),
+                 CycleError, id="resolve-CycleError"),
+    pytest.param(lambda: resolve(_GC_CATALOGS["acyclic"], {"B": "9.9"}),
+                 NotFoundError, id="resolve-NotFoundError"),
+    pytest.param(lambda: resolve(_GC_CATALOGS["dangling"], {"A": "1.0"}),
+                 DanglingDependencyError, id="resolve-DanglingDependencyError"),
+])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_collector_state_is_kept_on_every_exit(call, error, enabled):
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_parse_catalog_runs_with_the_collector_paused(monkeypatch):
+    states = []
+
+    def typed(*args):
+        states.append(gc.isenabled())
+        return typed_orig(*args)
+
+    typed_orig = catalog_mod._typed
+    monkeypatch.setattr(catalog_mod, "_typed", typed)
+    assert gc.isenabled()
+    parse_catalog('{"A": {"installer": "i.sh", "versions": {"1": {}}}}')
+    assert states == [False] and gc.isenabled()
 
 
 # --- check_cycles against the anchored-DFS enumerator --------------------------
@@ -372,9 +481,9 @@ def test_property_reported_cycle_is_a_closed_path_of_edges(deps, data):
 
 
 _optional_fields = st.fixed_dictionaries({}, optional={
-    "app_name": st.sampled_from(["n", ""]),
+    "app_name": st.sampled_from(["n", "", "dependencies"]),
     "base_url": st.sampled_from(["http://h/d/", "http://h/e"]),
-    "file": st.sampled_from(["f.tar", "/g.tar"]),
+    "file": st.sampled_from(["f.tar", "/g.tar", "dependencies"]),
     "installer": st.just("other.sh"),
     "version_name": st.sampled_from(["pretty", ""]),
     "app_version": st.just("raw"),
@@ -408,8 +517,8 @@ def catalogs_with_overrides(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(catalogs_with_overrides())
-def test_property_checked_catalog_agrees_with_its_document(doc):
+@given(catalogs_with_overrides(), st.data())
+def test_property_checked_catalog_agrees_with_its_document(doc, data):
     catalog = parse_catalog(json.dumps(doc))
     for name, body in doc.items():
         assert list(catalog.version_keys(name)) == list(body["versions"])
@@ -421,3 +530,18 @@ def test_property_checked_catalog_agrees_with_its_document(doc):
             assert effective_version(catalog, name, vk).effective == merged
     assert check_cycles(catalog) == reference_check_cycles(catalog)
     assert parse_catalog(serialize_catalog(catalog)) == catalog
+    # A plan's steps are the records effective_version builds, in an order
+    # that puts each step's own dependencies first.
+    request = {name: data.draw(st.sampled_from(sorted(doc[name]["versions"])))
+               for name in data.draw(st.lists(st.sampled_from(sorted(doc)), unique=True))}
+    try:
+        plan = resolve(catalog, request)
+    except CycleError:
+        assert check_cycles(catalog)
+    else:
+        position = {step.name: i for i, step in enumerate(plan.steps)}
+        for i, step in enumerate(plan.steps):
+            assert step == effective_version(catalog, step.name, step.version_key)
+            assert all(position[dep] < i for dep in step.dependencies)
+        for name, version_key in request.items():
+            assert plan.steps[position[name]].version_key == version_key

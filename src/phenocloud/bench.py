@@ -74,7 +74,7 @@ class BenchRun(namedtuple("BenchRun", "machine phase processes records label fai
     @classmethod
     def from_dict(cls, raw):
         try:
-            return cls(
+            run = cls(
                 machine=_from_mapping(MachineLabel, raw["machine"], "machine"),
                 phase=raw["phase"],
                 processes=raw["processes"],
@@ -86,6 +86,10 @@ class BenchRun(namedtuple("BenchRun", "machine phase processes records label fai
             )
         except (KeyError, TypeError) as exc:
             raise BenchError(f"malformed bench run: {type(exc).__name__}: {exc}") from exc
+        for key in ("phase", "label"):
+            if not isinstance(getattr(run, key), str):
+                raise BenchError(f"malformed bench run: {key} must be a string")
+        return run
 
 
 # --- analyzer ----------------------------------------------------------------
@@ -133,7 +137,10 @@ def speedup_curve(timings) -> list:
 
 
 class Workload(namedtuple("Workload", "command work_units", defaults=(None, 0))):
-    """Either an external command or a built-in CPU burner."""
+    """Either an external command or a built-in CPU burner.
+
+    Refused with `ValueError`: an empty command, a negative `work_units`,
+    and a non-zero `work_units` together with a command."""
 
     __slots__ = ()
 
@@ -143,6 +150,8 @@ class Workload(namedtuple("Workload", "command work_units", defaults=(None, 0)))
             raise ValueError("workload command must be non-empty")
         if self.work_units < 0:
             raise ValueError("work_units must be >= 0")
+        if self.command is not None and self.work_units:
+            raise ValueError("work_units applies to the builtin workload only")
         return self
 
     @classmethod

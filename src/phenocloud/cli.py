@@ -16,14 +16,14 @@ import time
 from phenocloud.errors import PhenocloudError
 
 CONFIG_ENV = "PHENO_CONFIG"
-CONFIG_KEYS = (
-    "catalog",
-    "scripts_dir",
-    "root",
-    "identity_config",
-    "principal_store",
-    "signing_key",
-)
+CONFIG_KEYS = {  # PHENO_CONFIG key -> the flag it fills in when the flag is absent
+    "catalog": "catalog",
+    "scripts_dir": "scripts",
+    "root": "root",
+    "identity_config": "config",
+    "principal_store": "store",
+    "signing_key": "key",
+}
 
 
 def load_global_config() -> dict:
@@ -38,13 +38,6 @@ def load_global_config() -> dict:
         if not isinstance(value, str):
             raise PhenocloudError(f"{CONFIG_ENV} file {path}: {key} must be a string")
     return config
-
-
-def _setting(args, config, flag, key=None):
-    value = getattr(args, flag, None)
-    if value is not None:
-        return value
-    return config.get(key or flag)
 
 
 def _read(path):
@@ -62,21 +55,20 @@ def _read_json(path):
         raise PhenocloudError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_catalog(args, config):
+def _load_catalog(args):
     from phenocloud.catalog import parse_catalog
-    path = _setting(args, config, "catalog")
-    if not path:
+    if not args.catalog:
         raise PhenocloudError("no catalog given (flag --catalog or PHENO_CONFIG)")
-    return parse_catalog(_read(path))
+    return parse_catalog(_read(args.catalog))
 
 
 # --- ctx ---------------------------------------------------------------------
 
 
-def cmd_ctx_plan(args, config):
+def cmd_ctx_plan(args):
     from phenocloud.contextualize import MetadataSource, fetch_metadata
     from phenocloud.resolver import resolve
-    catalog = _load_catalog(args, config)
+    catalog = _load_catalog(args)
     request = fetch_metadata(MetadataSource("local-file", args.metadata))
     plan = resolve(catalog, request)
     print(json.dumps(
@@ -96,15 +88,13 @@ def cmd_ctx_plan(args, config):
     return 0
 
 
-def cmd_ctx_run(args, config):
+def cmd_ctx_run(args):
     from phenocloud.contextualize import Contextualizer, MetadataSource, fetch_metadata
-    catalog = _load_catalog(args, config)
+    catalog = _load_catalog(args)
     request = fetch_metadata(MetadataSource("local-file", args.metadata))
-    root = _setting(args, config, "root")
-    scripts = _setting(args, config, "scripts", "scripts_dir") or "."
-    if not root:
+    if not args.root:
         raise PhenocloudError("no sandbox root given (flag --root or PHENO_CONFIG)")
-    ctx = Contextualizer(catalog, scripts_dir=scripts, root=root)
+    ctx = Contextualizer(catalog, scripts_dir=args.scripts or ".", root=args.root)
     report = ctx.run(request, dry_run=args.dry_run)
     if args.pretty:
         for step in report.steps:
@@ -117,7 +107,7 @@ def cmd_ctx_run(args, config):
     return 0 if report.ok else 1
 
 
-def cmd_ctx_images(args, config):
+def cmd_ctx_images(args):
     from phenocloud.contextualize import ImageRecord, filter_ready_images
     raw = _read_json(args.registry)
     try:
@@ -136,15 +126,13 @@ def cmd_ctx_images(args, config):
 # --- auth --------------------------------------------------------------------
 
 
-def _identity_parts(args, config):
+def _identity_parts(args):
     from phenocloud import identity as identity_mod
-    config_path = _setting(args, config, "config", "identity_config")
-    store_path = _setting(args, config, "store", "principal_store")
-    if not config_path:
+    if not args.config:
         raise PhenocloudError("no mapping config given (--config or PHENO_CONFIG)")
-    mapping = identity_mod.MappingConfig.from_json(_read(config_path))
-    if store_path:
-        store = identity_mod.JsonPrincipalStore(store_path)
+    mapping = identity_mod.MappingConfig.from_json(_read(args.config))
+    if args.store:
+        store = identity_mod.JsonPrincipalStore(args.store)
     else:
         store = identity_mod.PrincipalStore()
     return mapping, store
@@ -155,52 +143,46 @@ def _emit_decision(outcome):
     if isinstance(outcome, identity_mod.Denial):
         print(f"denied ({outcome.reason}): {outcome.detail}", file=sys.stderr)
         return 1
-    print(json.dumps(
-        {"tenant": outcome.tenant, "username": outcome.username, "created": outcome.created}
-    ))
+    print(json.dumps(outcome._asdict()))
     return 0
 
 
-def cmd_auth_map_vo(args, config):
+def cmd_auth_map_vo(args):
     from phenocloud import identity as identity_mod
-    mapping, store = _identity_parts(args, config)
-    now = time.time() if args.now is None else args.now
+    mapping, store = _identity_parts(args)
     assertion = identity_mod.Assertion(
         subject_dn=args.dn,
         vo=args.vo,
-        not_before=args.not_before if args.not_before is not None else 0.0,
-        not_after=args.not_after if args.not_after is not None else float("inf"),
+        not_before=args.not_before,
+        not_after=args.not_after,
     )
-    return _emit_decision(identity_mod.map_assertion(mapping, store, assertion, now))
+    return _emit_decision(identity_mod.map_assertion(mapping, store, assertion, args.now))
 
 
-def cmd_auth_map_user(args, config):
+def cmd_auth_map_user(args):
     from phenocloud import identity as identity_mod
-    mapping, store = _identity_parts(args, config)
+    mapping, store = _identity_parts(args)
     return _emit_decision(identity_mod.map_username(mapping, store, args.user))
 
 
-def _signing_key(args, config) -> bytes:
-    key = _setting(args, config, "key", "signing_key")
-    if not key:
+def _signing_key(args) -> bytes:
+    if not args.key:
         raise PhenocloudError("no signing key given (--key or PHENO_CONFIG)")
-    return key.encode("utf-8")
+    return args.key.encode("utf-8")
 
 
-def cmd_auth_token_issue(args, config):
+def cmd_auth_token_issue(args):
     from phenocloud import identity as identity_mod
-    key = _signing_key(args, config)
-    now = time.time() if args.now is None else args.now
-    token = identity_mod.issue_token(key, args.subject, args.tenant, args.lifetime, now)
+    key = _signing_key(args)
+    token = identity_mod.issue_token(key, args.subject, args.tenant, args.lifetime, args.now)
     print(token.encode())
     return 0
 
 
-def cmd_auth_token_verify(args, config):
+def cmd_auth_token_verify(args):
     from phenocloud import identity as identity_mod
-    key = _signing_key(args, config)
-    now = time.time() if args.now is None else args.now
-    token, reason = identity_mod.verify_token(key, args.token, now)
+    key = _signing_key(args)
+    token, reason = identity_mod.verify_token(key, args.token, args.now)
     if token is None:
         print(f"invalid ({reason})", file=sys.stderr)
         return 1
@@ -226,7 +208,7 @@ def _parse_range(flag, text):
         raise PhenocloudError(f"{flag} takes LO:HI, got {text!r}") from None
 
 
-def cmd_scan_run(args, config):
+def cmd_scan_run(args):
     from phenocloud import scan as scan_mod
     ma_min, ma_max = _parse_range("--ma", args.ma)
     tb_min, tb_max = _parse_range("--tb", args.tb)
@@ -234,16 +216,9 @@ def cmd_scan_run(args, config):
         ma_min=ma_min, ma_max=ma_max, tb_min=tb_min, tb_max=tb_max,
         steps_per_axis=args.steps,
     )
-    timeout = args.timeout_per_point
     if args.kernel == "builtin":
-        if timeout is not None:
-            raise PhenocloudError("--timeout-per-point applies to a cmd: kernel only")
         kernel, command = "builtin", None
     elif args.kernel.startswith("cmd:"):
-        if args.work_units:
-            raise PhenocloudError("--work-units applies to the builtin kernel only")
-        if timeout is not None and not 0 < timeout < float("inf"):
-            raise PhenocloudError(f"--timeout-per-point must be a positive number, got {timeout}")
         kernel, command = "command", args.kernel[4:]
     else:
         raise PhenocloudError(f"unknown kernel {args.kernel!r}")
@@ -255,7 +230,7 @@ def cmd_scan_run(args, config):
         kernel=kernel,
         work_units=args.work_units,
         command=command,
-        timeout_per_point=timeout,
+        timeout_per_point=args.timeout_per_point,
     )
     print(json.dumps(
         {
@@ -271,13 +246,11 @@ def cmd_scan_run(args, config):
 # --- bench -------------------------------------------------------------------
 
 
-def cmd_bench_run(args, config):
+def cmd_bench_run(args):
     from phenocloud import bench as bench_mod
     workload = bench_mod.Workload.from_spec(args.workload)
     if args.work_units is not None:
-        if workload.command is not None:
-            raise PhenocloudError("--work-units applies to the builtin workload only")
-        workload = bench_mod.Workload(work_units=args.work_units)
+        workload = bench_mod.Workload(workload.command, args.work_units)
     run = bench_mod.run_concurrent(workload, args.processes)
     text = run.to_json()
     if args.out:
@@ -287,7 +260,7 @@ def cmd_bench_run(args, config):
     return 0 if not run.failed else 1
 
 
-def cmd_bench_analyze(args, config):
+def cmd_bench_analyze(args):
     from phenocloud import bench as bench_mod
 
     def analyzed(path, baseline=None):
@@ -351,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store")
     p.add_argument("--dn", required=True)
     p.add_argument("--vo", required=True)
-    p.add_argument("--not-before", type=float, default=None)
-    p.add_argument("--not-after", type=float, default=None)
+    p.add_argument("--not-before", type=float, default=0.0)
+    p.add_argument("--not-after", type=float, default=float("inf"))
     p.add_argument("--now", type=float, default=None)
     p.set_defaults(func=cmd_auth_map_vo)
     p = auth_sub.add_parser("map-user", help="map an authenticated username")
@@ -412,8 +385,13 @@ def dispatch(argv) -> int:
         import logging
         logging.basicConfig(level=logging.DEBUG, format="%(levelname)s %(name)s: %(message)s")
     try:
-        config = load_global_config()
-        return args.func(args, config)
+        # Fill only flags this command has ("" otherwise) and the caller left out.
+        for key, value in load_global_config().items():
+            if getattr(args, CONFIG_KEYS[key], "") is None:
+                setattr(args, CONFIG_KEYS[key], value)
+        if getattr(args, "now", "") is None:
+            args.now = time.time()
+        return args.func(args)
     except (PhenocloudError, OSError, ValueError) as exc:  # bad input: one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1

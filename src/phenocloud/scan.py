@@ -247,11 +247,23 @@ def run_scan(
     On success the output replaces `out` in one step.  On any worker
     failure `out` is removed and the share of each worker that succeeded is
     written to `<out>.partN` for diagnosis.
+
+    Refused with `ValueError` before any worker starts or any file is
+    written: an unknown kernel, the command kernel without a command, a
+    negative `work_units`, a non-zero `work_units` with the command kernel,
+    and a `timeout_per_point` with the builtin kernel or not positive and
+    finite.
     """
     if kernel not in ("builtin", "command"):
         raise ValueError(f"unknown kernel {kernel!r}")
     if kernel == "command" and not command:
         raise ValueError("command kernel requires a command")
+    if work_units < 0:
+        raise ValueError(f"work_units must be >= 0, got {work_units}")
+    if kernel == "command" and work_units:
+        raise ValueError("work_units applies to the builtin kernel only")
+    if kernel == "builtin" and timeout_per_point is not None:
+        raise ValueError("timeout_per_point applies to the command kernel only")
     if timeout_per_point is not None and not 0 < timeout_per_point < math.inf:
         raise ValueError(f"timeout_per_point must be positive and finite, got {timeout_per_point}")
     if os.path.exists(out) and not os.path.isfile(out):  # e.g. /dev/null: never replace it

@@ -218,6 +218,12 @@ def test_run_concurrent_zero_processes():
         run_concurrent(Workload(work_units=1), processes=0)
 
 
+def test_workload_refuses_work_units_with_a_command():
+    with pytest.raises(ValueError, match="work_units"):
+        Workload(command=("true",), work_units=5)
+    assert Workload(command=("true",), work_units=0).command == ("true",)
+
+
 def test_workload_spec_parsing():
     assert Workload.from_spec("cmd:sleep 1").command == ("sleep", "1")
     assert Workload.from_spec("builtin").command is None

@@ -97,8 +97,8 @@ def test_auth_map_vo_allows(identity_config_file, tmp_path, capsys):
         "--dn", "/DC=es/CN=alice", "--vo", "pheno",
     ])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc == {"tenant": "pheno", "username": "/DC=es/CN=alice", "created": True}
+    assert capsys.readouterr().out == (
+        '{"tenant": "pheno", "username": "/DC=es/CN=alice", "created": true}\n')
 
 
 def test_auth_map_vo_denies_with_reason_on_stderr(identity_config_file, capsys):
@@ -129,7 +129,8 @@ def test_auth_map_user(identity_config_file, capsys):
         "auth", "map-user", "--config", identity_config_file, "--user", "alice@ifca.es",
     ])
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["tenant"] == "ifca"
+    assert capsys.readouterr().out == (
+        '{"tenant": "ifca", "username": "alice@ifca.es", "created": true}\n')
 
 
 def test_auth_token_issue_and_verify(capsys):
@@ -141,7 +142,8 @@ def test_auth_token_issue_and_verify(capsys):
     token = capsys.readouterr().out.strip()
     code = dispatch(["auth", "token", "verify", "--key", "k", "--token", token, "--now", "1030"])
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["subject"] == "s"
+    assert capsys.readouterr().out == (
+        '{"subject": "s", "tenant": "t", "issued_at": 1000.0, "expires_at": 1060.0}\n')
     code = dispatch(["auth", "token", "verify", "--key", "k", "--token", token, "--now", "2000"])
     assert code == 1
     assert "expired" in capsys.readouterr().err
@@ -201,6 +203,13 @@ def test_bench_run_children_do_not_read_the_callers_stdin(tmp_path):
     assert len(json.loads(out)["records"]) == 2
 
 
+def test_bench_run_accepts_zero_work_units_with_a_command_workload(capsys):
+    code = dispatch(["bench", "run", "--processes", "1", "--workload", "cmd:true",
+                     "--work-units", "0"])
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["records"]) == 1
+
+
 def test_bench_analyze_table(tmp_path, capsys):
     out = tmp_path / "run.json"
     dispatch(["bench", "run", "--processes", "1", "--workload", "builtin",
@@ -258,6 +267,61 @@ def test_global_config_supplies_catalog(catalog_file, metadata_file, tmp_path,
     code = dispatch(["ctx", "plan", "--metadata", metadata_file])
     assert code == 0
     assert len(json.loads(capsys.readouterr().out)["steps"]) == 2
+
+
+# PHENO_CONFIG key, the flag it fills in, a command that reads it, and two
+# values of it that make the command print different output.
+CONFIG_PRECEDENCE = [
+    ("catalog", "--catalog", ["ctx", "plan", "--metadata", "{metadata}"],
+     ("{tmp}/missing-1", "{tmp}/missing-2")),
+    ("scripts_dir", "--scripts",
+     ["ctx", "run", "--catalog", "{outside}", "--metadata", "{request_a}", "--root", "{tmp}",
+      "--dry-run"], ("{tmp}/dir-1", "{tmp}/dir-2")),
+    ("root", "--root", ["ctx", "run", "--catalog", "{catalog}", "--metadata", "{metadata}"],
+     ("{tmp}/file-1", "{tmp}/file-2")),
+    ("identity_config", "--config", ["auth", "map-user", "--user", "u"],
+     ("{tmp}/missing-1", "{tmp}/missing-2")),
+    ("principal_store", "--store",
+     ["auth", "map-user", "--config", "{mapping}", "--user", "bob@ifca.es"],
+     ("{tmp}/store-1", "{tmp}/store-2")),
+    ("signing_key", "--key",
+     ["auth", "token", "issue", "--subject", "s", "--tenant", "t", "--now", "1000"],
+     ("key-1", "key-2")),
+]
+
+
+@pytest.mark.parametrize("key,flag,argv,values", CONFIG_PRECEDENCE,
+                         ids=[case[0] for case in CONFIG_PRECEDENCE])
+def test_pheno_config_fills_an_absent_flag_and_a_given_flag_wins(
+        key, flag, argv, values, catalog_file, metadata_file, identity_config_file, tmp_path,
+        monkeypatch, capsys):
+    files = {"catalog": catalog_file, "metadata": metadata_file, "mapping": identity_config_file,
+             "tmp": str(tmp_path), "request_a": str(tmp_path / "request_a.json"),
+             "outside": str(tmp_path / "outside.json")}
+    (tmp_path / "request_a.json").write_text('{"A": "1.0"}')
+    (tmp_path / "outside.json").write_text(  # its installer is outside any scripts dir
+        '{"A": {"installer": "../A.sh", "versions": {"1.0": {}}}}')
+    for n in (1, 2):
+        (tmp_path / f"dir-{n}").mkdir()
+        (tmp_path / f"file-{n}").write_text("")  # not a directory, so not a root
+        (tmp_path / f"store-{n}").write_text('[{"username":"x"}]')  # a malformed store
+    argv = [arg.format(**files) for arg in argv]
+    one, two = (value.format(**files) for value in values)
+    config = tmp_path / "pheno.json"
+
+    def run(config_value, flag_value):
+        monkeypatch.delenv("PHENO_CONFIG", raising=False)
+        if config_value is not None:
+            config.write_text(json.dumps({key: config_value}))
+            monkeypatch.setenv("PHENO_CONFIG", str(config))
+        code = dispatch(argv + ([flag, flag_value] if flag_value is not None else []))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    by_flag = run(None, one), run(None, two)
+    assert by_flag[0] != by_flag[1]
+    assert run(one, None) == by_flag[0]
+    assert run(one, two) == by_flag[1]
 
 
 def test_machine_readable_stdout_is_json_on_success(catalog_file, metadata_file, capsys):
@@ -320,6 +384,10 @@ BAD_INPUTS = [
                  id="bench-analyze-machine-missing-key"),
     pytest.param(["bench", "analyze", "{machine_with_x}"], None,
                  id="bench-analyze-machine-unknown-key"),
+    pytest.param(["bench", "analyze", "{phase_null}", "--report", "table"], None,
+                 id="bench-analyze-table-phase-null"),
+    pytest.param(["bench", "analyze", "{label_list}", "--report", "table"], None,
+                 id="bench-analyze-table-label-list"),
     pytest.param(["ctx", "images", "--registry", "{no_id}"], None, id="registry-without-id"),
     pytest.param(["ctx", "plan", "--catalog", "{versions_list}", "--metadata", "{request_a}"],
                  None, id="catalog-versions-list"),
@@ -367,7 +435,8 @@ def test_scan_timeout_per_point_is_refused_before_any_worker_runs(timeout, tmp_p
                      "--timeout-per-point", timeout, "--out", str(out)])
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
-    assert len(lines) == 1 and lines[0].startswith("error: --timeout-per-point ")
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: timeout_per_point must be positive and finite, got ")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -400,7 +469,10 @@ def test_bad_input_is_a_one_line_error(argv, pheno_config, identity_config_file,
                        ("catalog_number", '{"catalog": 5}'),
                        ("machine_without_ram", _bench_run_text().replace(', "ram_gb": 1', "")),
                        ("machine_with_x", _bench_run_text().replace('"ram_gb": 1',
-                                                                    '"ram_gb": 1, "x": 1'))]:
+                                                                    '"ram_gb": 1, "x": 1')),
+                       ("phase_null", _bench_run_text().replace('"Math"', "null")),
+                       ("label_list", _bench_run_text().replace('"phase"',
+                                                                '"label": ["a"], "phase"'))]:
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(text)
     monkeypatch.delenv("PHENO_CONFIG", raising=False)

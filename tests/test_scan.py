@@ -322,13 +322,19 @@ def test_successful_scan_leaves_part_files_of_an_earlier_failure_alone(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.dat", *sorted(earlier)]
 
 
-@pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
-def test_bad_timeout_per_point_is_refused_before_any_worker_starts(tmp_path, timeout):
+@pytest.mark.parametrize("options,word", [
+    *[({"timeout_per_point": t}, "timeout_per_point")
+      for t in (0, -1, float("nan"), float("inf"))],
+    ({"kernel": "builtin", "timeout_per_point": 5.0}, "timeout_per_point"),
+    ({"work_units": 7}, "work_units"),
+    ({"kernel": "builtin", "work_units": -1}, "work_units"),
+], ids=["0", "-1", "nan", "inf", "builtin-timeout", "command-work-units", "negative-work-units"])
+def test_bad_timeout_per_point_is_refused_before_any_worker_starts(tmp_path, options, word):
     marker = tmp_path / "started"
     kernel = f'touch {marker}; while read ma tb; do echo "$ma $tb ALLOWED"; done'
-    with pytest.raises(ValueError, match="timeout_per_point"):
-        run_scan(SMALL_GRID, workers=2, out=str(tmp_path / "scan.dat"), kernel="command",
-                 command=kernel, timeout_per_point=timeout)
+    options = {"kernel": "command", "command": kernel, **options}
+    with pytest.raises(ValueError, match=word):
+        run_scan(SMALL_GRID, workers=2, out=str(tmp_path / "scan.dat"), **options)
     assert list(tmp_path.iterdir()) == []
 
 

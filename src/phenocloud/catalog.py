@@ -17,6 +17,8 @@ from phenocloud.errors import CatalogError, NotFoundError
 
 # Fields a version entry may override.
 OVERRIDABLE_FIELDS = ("app_name", "base_url", "file", "dependencies", "installer")
+# The keys of a version that overrides nothing.
+_NAME_KEYS = frozenset(("version_name", "app_version"))
 
 
 class ResolvedApp(namedtuple("ResolvedApp", "name version_key effective download_url")):
@@ -105,23 +107,18 @@ def _type_error(f, name, version_key=None) -> CatalogError:
     return CatalogError(f"entry {name!r}{version}: {f!r} must be {kind}")
 
 
-def _typed(raw, f, name, share, version_key=None):
-    """raw[f] through share (a file as it is), a dependencies list as a
-    tuple of shared names; _type_error if the value has the wrong JSON type."""
-    value = raw[f]
-    if f == "dependencies":
-        if isinstance(value, list):
-            names = []
-            for dep in value:
-                if not isinstance(dep, str):
-                    break
-                names.append(share(dep, dep))
-            else:
-                return tuple(names)
-    elif isinstance(value, str):
-        # A file is most often one version's own, so sharing it would only grow the table.
-        return value if f == "file" else share(value, value)
-    raise _type_error(f, name, version_key)
+def _dependencies(value, share, name, version_key=None) -> tuple:
+    """A dependencies list as a tuple of shared names; _type_error if it is
+    not a list of strings."""
+    if isinstance(value, list):
+        names = []  # a loop: tuple(map(share, ...)) costs more on lists this short
+        for dep in value:
+            if not isinstance(dep, str):
+                break
+            names.append(share(dep, dep))
+        else:
+            return tuple(names)
+    raise _type_error("dependencies", name, version_key)
 
 
 @collector_paused
@@ -132,10 +129,14 @@ def parse_catalog(text: str) -> Catalog:
     CatalogError on malformed JSON, a missing mandatory field or a field of
     the wrong JSON type in any entry; validate_catalog checks what
     dependencies name.  The first failing check is reported: entries in
-    document order, and in each entry every version's version_name,
-    app_version and overrides before the entry's own fields, fields in
-    OVERRIDABLE_FIELDS order.  Equal names, installers, base URLs and
-    version names are kept as one object, a dependency as the key it names.
+    document order; in each entry, that installer and versions are present
+    and versions is an object; then, version by version, that it is an
+    object, its version_name, its app_version and its overrides in
+    OVERRIDABLE_FIELDS order; last the entry's own fields, in that order.
+    A version whose only keys are version_name and app_version has no
+    overrides to walk.  Strings are checked inline, a dependencies list by
+    one helper.  Equal names, installers, base URLs and version names are
+    kept as one object, a dependency as the key it names.
     """
     try:
         raw = json.loads(text)
@@ -149,47 +150,71 @@ def parse_catalog(text: str) -> Catalog:
     # dependency is the very key it names and a dict lookup by it stops at
     # the identity check.
     share = dict(zip(raw, raw)).setdefault
-    plain = {}  # version name -> the one spec of a version that overrides nothing
+    plain = {}  # version name -> the one spec of the versions that override nothing
     checked = {}
+    names_only = _NAME_KEYS.issuperset
+    new = tuple.__new__  # _Checked's own __new__ is a Python function
     for name, body in raw.items():
         if not isinstance(body, dict):
             raise CatalogError(f"entry {name!r} must be a JSON object")
-        for required in ("installer", "versions"):
-            if not body.get(required):
-                raise CatalogError(f"entry {name!r}: missing mandatory field {required!r}")
-        versions = body["versions"]
+        installer = body.get("installer")
+        if not installer:
+            raise CatalogError(f"entry {name!r}: missing mandatory field 'installer'")
+        versions = body.get("versions")
+        if not versions:
+            raise CatalogError(f"entry {name!r}: missing mandatory field 'versions'")
         if not isinstance(versions, dict):
             raise CatalogError(f"entry {name!r}: 'versions' must be an object")
-        overridden = []  # the versions' dependencies overrides
+        overridden = ()  # the versions' dependencies overrides
         for vk, vraw in versions.items():  # each value becomes its checked tuple
             if not isinstance(vraw, dict):
                 raise CatalogError(f"entry {name!r}: version {vk!r} must be an object")
-            for f in ("version_name", "app_version"):
-                if not isinstance(vraw.get(f, ""), str):
-                    raise _type_error(f, name, vk)
+            vname = vraw.get("version_name", "")
+            if not isinstance(vname, str):
+                raise _type_error("version_name", name, vk)
+            pretty = vraw.get("app_version", "")
+            if not isinstance(pretty, str):
+                raise _type_error("app_version", name, vk)
             # The prose mandates version_name but real catalogs carry
             # app_version; accept either, fall back to the map key, which
             # json.loads already shares between entries.
-            vname = vraw.get("version_name") or vraw.get("app_version") or vk
+            vname = vname or pretty or vk
             vname = vk if vname == vk else share(vname, vname)
-            overrides = ()
-            for f in OVERRIDABLE_FIELDS:
-                if f in vraw:
-                    value = _typed(vraw, f, name, share, vk)
-                    overrides += (f, value)
-                    if f == "dependencies":
-                        overridden.append(value)
-            if overrides:
-                versions[vk] = (vname,) + overrides
-            else:
-                versions[vk] = plain.get(vname) or plain.setdefault(vname, (vname,))
-        fields = []  # a loop: a list comprehension costs one more call per entry
-        for f in OVERRIDABLE_FIELDS:
-            fields.append(_typed(body, f, name, share) if f in body else None)
-        app_name, base_url, file, deps, installer = fields
-        deps = deps or ()
+            spec = plain.get(vname) or plain.setdefault(vname, (vname,))
+            if not names_only(vraw):
+                for f in OVERRIDABLE_FIELDS:
+                    if f in vraw:
+                        value = vraw[f]
+                        if f == "dependencies":
+                            value = _dependencies(value, share, name, vk)
+                            overridden += (value,)
+                        elif not isinstance(value, str):
+                            raise _type_error(f, name, vk)
+                        elif f != "file":  # a file is most often one version's own
+                            value = share(value, value)
+                        spec += (f, value)
+            versions[vk] = spec
+        # The entry's own fields in OVERRIDABLE_FIELDS order; null is of no
+        # field's type, and a file is most often one version's own.
+        app_name = body.get("app_name")
+        if app_name is not None or "app_name" in body:
+            if not isinstance(app_name, str):
+                raise _type_error("app_name", name)
+            app_name = share(app_name, app_name)
+        base_url = body.get("base_url")
+        if base_url is not None or "base_url" in body:
+            if not isinstance(base_url, str):
+                raise _type_error("base_url", name)
+            base_url = share(base_url, base_url)
+        file = body.get("file")
+        if (file is not None or "file" in body) and not isinstance(file, str):
+            raise _type_error("file", name)
+        deps = _dependencies(body["dependencies"], share, name) if "dependencies" in body else ()
+        if not isinstance(installer, str):
+            raise _type_error("installer", name)
+        installer = share(installer, installer)
         edges = tuple(dict.fromkeys(chain(deps, *overridden))) if overridden else deps
-        checked[name] = _Checked(app_name, base_url, file, deps, installer, versions, edges)
+        checked[name] = new(_Checked, (app_name, base_url, file, deps, installer, versions, edges))
     return Catalog(checked)
 
 
@@ -232,7 +257,10 @@ def join_url(base_url: str | None, filename: str | None) -> str | None:
 
 def effective_version(catalog: Catalog, name: str, version_key: str) -> ResolvedApp:
     """Merge an application's defaults with one version's overrides."""
-    app_name, base_url, file, dependencies, installer, versions, _ = catalog._app(name)
+    try:
+        app_name, base_url, file, dependencies, installer, versions, _ = catalog._checked[name]
+    except KeyError:
+        raise NotFoundError(f"application {name!r} not in catalog") from None
     spec = versions.get(version_key)
     if spec is None:
         raise NotFoundError(f"application {name!r} has no version {version_key!r}")
@@ -240,5 +268,6 @@ def effective_version(catalog: Catalog, name: str, version_key: str) -> Resolved
                  "dependencies": dependencies, "installer": installer, "version_name": spec[0]}
     if len(spec) > 1:
         effective.update(zip(spec[1::2], spec[2::2]))
-    return ResolvedApp(name, version_key, effective,
-                       join_url(effective["base_url"], effective["file"]))
+        base_url = effective["base_url"]
+    url = None if base_url is None else join_url(base_url, effective["file"])
+    return tuple.__new__(ResolvedApp, (name, version_key, effective, url))  # past its Python __new__

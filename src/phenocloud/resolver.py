@@ -14,8 +14,8 @@ allocates reference cycles, so a collection there would free nothing.
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heapify, heappop, heappush
 from collections import defaultdict, namedtuple
 
 from phenocloud.catalog import Catalog, collector_paused, effective_version
@@ -39,6 +39,7 @@ def _select_versions(catalog: Catalog, request: dict):
     """
     checked = catalog.checked()
     selected = {}
+    stack = []  # (name, checked app, version key) of each app whose edges are not read yet
     for name, version_key in request.items():
         app = checked.get(name)
         if app is None:
@@ -48,28 +49,29 @@ def _select_versions(catalog: Catalog, request: dict):
                 f"requested version {version_key!r} of {name!r} does not exist"
             )
         selected[name] = version_key
+        stack.append((name, app, version_key))
 
     edges = {}
-    stack = list(selected)
     while stack:
-        name = stack.pop()
-        app = checked[name]
-        spec = app.versions[selected[name]]  # (version_name, field, value, ...)
+        name, app, version_key = stack.pop()
+        spec = app.versions[version_key]  # (version_name, field, value, ...)
         deps = app.dependencies
-        # Only field names are compared: a value may be the string "dependencies".
-        for i in range(1, len(spec), 2):
-            if spec[i] == "dependencies":
-                deps = spec[i + 1]
-                break
+        if len(spec) > 1:
+            # Only field names are compared: a value may be the string "dependencies".
+            for i in range(1, len(spec), 2):
+                if spec[i] == "dependencies":
+                    deps = spec[i + 1]
+                    break
         edges[name] = deps
         for dep in deps:
             if dep not in selected:
-                if dep not in checked:
+                dep_app = checked.get(dep)
+                if dep_app is None:
                     raise DanglingDependencyError(
                         f"{name!r} depends on {dep!r}, which is not in the catalog"
                     )
-                selected[dep] = max(checked[dep].versions)
-                stack.append(dep)
+                dep_key = selected[dep] = max(dep_app.versions)
+                stack.append((dep, dep_app, dep_key))
     return selected, edges
 
 
@@ -78,44 +80,47 @@ def _components(succ, nodes) -> list:
 
     `succ[node]` lists a node's successors; those outside `nodes` are
     ignored.  Tarjan's algorithm with an explicit stack of successor
-    iterators in place of recursion.  A node's index turns infinite once its
-    component is out, so that it lowers no other node's link.
+    iterators in place of recursion.  A node's index is its position on the
+    component stack, which orders the nodes on it as discovery numbers would,
+    so a component is one slice off the top.  The index turns infinite once
+    the component is out, so that it lowers no other node's link.
     """
-    index = {}  # node -> DFS discovery number
-    low = {}
+    index = {}  # node -> its position on `stack` when it was pushed
     stack = []
     components = []
     for root in nodes:
         if root in index:
             continue
-        index[root] = low[root] = len(index)
+        # A node's link is needed only while it is on the DFS path, so it
+        # rides on `work` with the node instead of living in a dict.
+        node, successors, low = root, iter(succ[root]), len(stack)
+        index[root] = low
         stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, successors = work[-1]
+        work = []  # (node, successors, link) of node's DFS ancestors
+        while True:
             for nxt in successors:
-                if nxt not in nodes:
-                    continue
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
+                if nxt in index:
+                    if index[nxt] < low:
+                        low = index[nxt]
+                elif nxt in nodes:
+                    work.append((node, successors, low))
+                    node, successors = nxt, iter(succ[nxt])
+                    index[nxt] = low = len(stack)
                     stack.append(nxt)
-                    work.append((nxt, iter(succ[nxt])))
                     break
-                if index[nxt] < low[node]:
-                    low[node] = index[nxt]
             else:
-                work.pop()
-                if work and low[node] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[node]
-                if low[node] == index[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
+                if low == index[node]:
+                    component = stack[low:]
+                    del stack[low:]
+                    for member in component:
                         index[member] = math.inf
-                        component.append(member)
-                        if member == node:
-                            break
                     components.append(component)
+                if not work:
+                    break
+                child_low = low
+                node, successors, low = work.pop()
+                if child_low < low:
+                    low = child_low
     return components
 
 
@@ -185,6 +190,35 @@ def _circuits(succ, anchor, members):
                         blocked_by[nxt].add(node)
 
 
+def _install_order(edges) -> list:
+    """Kahn's pass over `edges` (name -> its dependencies): dependencies
+    first and, among ready names, the smallest first.  Names on a cycle, or
+    depending on one, are left out."""
+    indegree = {}
+    dependents = {}  # only names something depends on
+    ready = []
+    for name, deps in edges.items():
+        indegree[name] = len(deps)
+        if not deps:
+            ready.append(name)
+        for dep in deps:
+            if dep in dependents:
+                dependents[dep].append(name)
+            else:
+                dependents[dep] = [name]
+    heapify(ready)
+    order = []
+    while ready:
+        name = heappop(ready)
+        order.append(name)
+        for dependent in dependents.get(name, ()):
+            deg = indegree[dependent] - 1
+            indegree[dependent] = deg
+            if not deg:
+                heappush(ready, dependent)
+    return order
+
+
 @collector_paused
 def resolve(catalog: Catalog, request: dict) -> InstallPlan:
     """Compute a deterministic install order for the requested applications.
@@ -197,27 +231,12 @@ def resolve(catalog: Catalog, request: dict) -> InstallPlan:
     depth-first search finds, starting and ending at that node.
     """
     selected, edges = _select_versions(catalog, request)
-
-    indegree = {name: len(deps) for name, deps in edges.items()}
-    dependents = {name: [] for name in edges}
-    for name, deps in edges.items():
-        for dep in deps:
-            dependents[dep].append(name)
-
-    ready = [name for name, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        name = heapq.heappop(ready)
-        order.append(name)
-        for dependent in dependents[name]:
-            indegree[dependent] -= 1
-            if indegree[dependent] == 0:
-                heapq.heappush(ready, dependent)
-
+    order = _install_order(edges)
     if len(order) != len(edges):
-        # Every cycle lies among the unplaced apps.
-        remaining = {name for name, deg in indegree.items() if deg > 0}
+        # Every cycle lies among the unplaced apps.  Kahn's lists are gone
+        # by now, so the traceback of the CycleError does not hold them.
+        placed = set(order)
+        remaining = {name: None for name in edges if name not in placed}
         anchor, members = min(
             (min(c), c) for c in _cyclic_components(edges, remaining)
         )
@@ -248,13 +267,13 @@ def check_cycles(catalog: Catalog) -> list:
     # Components are disjoint, so popping smallest anchors first keeps the
     # anchors in ascending order.
     heap = [(min(c), c) for c in _cyclic_components(succ, succ)]
-    heapq.heapify(heap)
+    heapify(heap)
     cycles = []
     while heap:
-        anchor, component = heapq.heappop(heap)
+        anchor, component = heappop(heap)
         members = dict.fromkeys(component)
         cycles.extend(_circuits(succ, anchor, members))
         del members[anchor]
         for sub in _cyclic_components(succ, members):
-            heapq.heappush(heap, (min(sub), sub))
+            heappush(heap, (min(sub), sub))
     return cycles

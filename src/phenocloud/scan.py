@@ -251,8 +251,8 @@ def run_scan(
     Refused with `ValueError` before any worker starts or any file is
     written: an unknown kernel, the command kernel without a command, a
     negative `work_units`, a non-zero `work_units` with the command kernel,
-    and a `timeout_per_point` with the builtin kernel or not positive and
-    finite.
+    a `timeout_per_point` with the builtin kernel or not positive and
+    finite, and a command with the builtin kernel.
     """
     if kernel not in ("builtin", "command"):
         raise ValueError(f"unknown kernel {kernel!r}")
@@ -266,6 +266,8 @@ def run_scan(
         raise ValueError("timeout_per_point applies to the command kernel only")
     if timeout_per_point is not None and not 0 < timeout_per_point < math.inf:
         raise ValueError(f"timeout_per_point must be positive and finite, got {timeout_per_point}")
+    if kernel == "builtin" and command is not None:
+        raise ValueError("command applies to the command kernel only")
     if os.path.exists(out) and not os.path.isfile(out):  # e.g. /dev/null: never replace it
         raise ScanError(f"{out} exists and is not a regular file")
     parts = partition(grid.n_points, min(workers, grid.n_points))

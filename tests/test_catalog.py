@@ -64,14 +64,28 @@ def test_version_name_and_app_version_must_be_strings(version):
         parse_catalog(json.dumps(doc))
 
 
+_ENTRY_DEPS = "entry 'App': 'dependencies' must be a list of strings"
+_VERSION_DEPS = "entry 'App': version '1': 'dependencies' must be a list of strings"
+
+
 @pytest.mark.parametrize("entry,error", [
     ({"installer": "x.sh", "versions": {"1": {"file": 6, "version_name": 5}}},
      "entry 'App': version '1': 'version_name' must be a string"),
     ({"installer": 5, "base_url": 6, "versions": {"1": {}}},
      "entry 'App': 'base_url' must be a string"),
-], ids=["version", "entry"])
+    *[({"installer": "x.sh", "dependencies": ["B", bad], "versions": {"1": {}}}, _ENTRY_DEPS)
+      for bad in (["B"], 5, None)],
+    *[({"installer": "x.sh", "versions": {"1": {"dependencies": ["B", bad]}}}, _VERSION_DEPS)
+      for bad in (["B"], 5, None)],
+    ({"installer": "x.sh", "versions": {"1": {"base_url": 6, "mirror": "http://m/"}}},
+     "entry 'App': version '1': 'base_url' must be a string"),
+    ({"installer": 5, "dependencies": "B", "versions": {"1": {}}}, _ENTRY_DEPS),
+], ids=["version", "entry", "entry-dep-list", "entry-dep-number", "entry-dep-null",
+        "version-dep-list", "version-dep-number", "version-dep-null", "version-unknown-key",
+        "entry-installer-and-dependencies"])
 def test_the_first_wrong_field_in_check_order_is_reported(entry, error):
-    # The fields are listed out of check order, so document order would name the other one.
+    # Where two fields are wrong they are listed out of check order, so document
+    # order would name the other one.
     with pytest.raises(CatalogError) as info:
         parse_catalog(json.dumps({"App": entry}))
     assert str(info.value) == error

@@ -26,14 +26,109 @@ def metadata_file(tmp_path):
     return str(path)
 
 
+FEYN_PLAN = """\
+{
+  "steps": [
+    {
+      "app": "FeynHiggs",
+      "version": "2.9.4",
+      "download_url": "http://www.feynhiggs.de/downloads/FeynHiggs-2.9.4.tar.gz",
+      "installer": "feyntools.sh"
+    },
+    {
+      "app": "FormCalc",
+      "version": "7.0.2",
+      "download_url": "https://devel.ifca.es/~enol/feynapps/",
+      "installer": "feyntools.sh"
+    }
+  ]
+}
+"""
+
+
 def test_ctx_plan(catalog_file, metadata_file, capsys):
     code = dispatch(["ctx", "plan", "--catalog", catalog_file, "--metadata", metadata_file])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert [s["app"] for s in doc["steps"]] == ["FeynHiggs", "FormCalc"]
-    assert doc["steps"][1]["download_url"].startswith(
-        "https://devel.ifca.es/~enol/feynapps/"
-    )
+    assert capsys.readouterr().out == FEYN_PLAN
+
+
+# Versions that override base_url, file, dependencies and installer.
+OVERRIDING_CATALOG = {
+    "Top": {"installer": "top.sh", "base_url": "http://a/", "file": "top.tgz",
+            "dependencies": ["Mid"], "versions": {
+                "1": {"base_url": "http://b/", "file": "/top-1.tgz",
+                      "dependencies": ["Leaf", "Mid"], "installer": "top1.sh"},
+                "2": {}}},
+    "Mid": {"installer": "mid.sh", "dependencies": ["Leaf"], "versions": {
+        "1": {"base_url": "http://m", "file": "mid.tgz"},
+        "2": {"dependencies": [], "installer": "mid2.sh"}}},
+    "Leaf": {"installer": "leaf.sh", "base_url": "http://l/",
+             "versions": {"1": {"file": "leaf.tgz"}}},
+}
+
+
+OVERRIDES_PLAN = """\
+{
+  "steps": [
+    {
+      "app": "Leaf",
+      "version": "1",
+      "download_url": "http://l/leaf.tgz",
+      "installer": "leaf.sh"
+    },
+    {
+      "app": "Mid",
+      "version": "2",
+      "download_url": null,
+      "installer": "mid2.sh"
+    },
+    {
+      "app": "Top",
+      "version": "1",
+      "download_url": "http://b/top-1.tgz",
+      "installer": "top1.sh"
+    }
+  ]
+}
+"""
+
+DEFAULTS_PLAN = """\
+{
+  "steps": [
+    {
+      "app": "Leaf",
+      "version": "1",
+      "download_url": "http://l/leaf.tgz",
+      "installer": "leaf.sh"
+    },
+    {
+      "app": "Mid",
+      "version": "1",
+      "download_url": "http://m/mid.tgz",
+      "installer": "mid.sh"
+    },
+    {
+      "app": "Top",
+      "version": "2",
+      "download_url": "http://a/top.tgz",
+      "installer": "top.sh"
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("request_,expected", [
+    ({"Top": "1"}, OVERRIDES_PLAN),
+    ({"Top": "2", "Mid": "1"}, DEFAULTS_PLAN),
+], ids=["overrides", "defaults"])
+def test_ctx_plan_prints_version_overrides(tmp_path, capsys, request_, expected):
+    (tmp_path / "catalog.json").write_text(json.dumps(OVERRIDING_CATALOG))
+    (tmp_path / "metadata.json").write_text(json.dumps(request_))
+    code = dispatch(["ctx", "plan", "--catalog", str(tmp_path / "catalog.json"),
+                     "--metadata", str(tmp_path / "metadata.json")])
+    assert code == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -357,14 +357,15 @@ def test_collector_state_is_kept_on_every_exit(call, error, enabled):
 def test_parse_catalog_runs_with_the_collector_paused(monkeypatch):
     states = []
 
-    def typed(*args):
+    def dependencies(*args):
         states.append(gc.isenabled())
-        return typed_orig(*args)
+        return dependencies_orig(*args)
 
-    typed_orig = catalog_mod._typed
-    monkeypatch.setattr(catalog_mod, "_typed", typed)
+    # Valid strings are checked inline; a dependencies list still goes through the helper.
+    dependencies_orig = catalog_mod._dependencies
+    monkeypatch.setattr(catalog_mod, "_dependencies", dependencies)
     assert gc.isenabled()
-    parse_catalog('{"A": {"installer": "i.sh", "versions": {"1": {}}}}')
+    parse_catalog('{"A": {"installer": "i.sh", "dependencies": [], "versions": {"1": {}}}}')
     assert states == [False] and gc.isenabled()
 
 

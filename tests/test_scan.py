@@ -328,7 +328,9 @@ def test_successful_scan_leaves_part_files_of_an_earlier_failure_alone(tmp_path)
     ({"kernel": "builtin", "timeout_per_point": 5.0}, "timeout_per_point"),
     ({"work_units": 7}, "work_units"),
     ({"kernel": "builtin", "work_units": -1}, "work_units"),
-], ids=["0", "-1", "nan", "inf", "builtin-timeout", "command-work-units", "negative-work-units"])
+    ({"kernel": "builtin"}, "command applies to the command kernel only"),
+], ids=["0", "-1", "nan", "inf", "builtin-timeout", "command-work-units", "negative-work-units",
+        "builtin-command"])
 def test_bad_timeout_per_point_is_refused_before_any_worker_starts(tmp_path, options, word):
     marker = tmp_path / "started"
     kernel = f'touch {marker}; while read ma tb; do echo "$ma $tb ALLOWED"; done'

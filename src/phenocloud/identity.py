@@ -18,6 +18,7 @@ import math
 import os
 import re
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _quote
 
 from phenocloud.errors import PhenocloudError, key_problem
 
@@ -173,13 +174,8 @@ class PrincipalStore:
         return list(self._principals.values())
 
 
-def _owner_only(path, flags):
-    return os.open(path, flags, 0o600)  # a new store is readable by its owner only
-
-
 # Built once: json.dumps with any non-default argument builds a new encoder per call.
 _compact = json.JSONEncoder(separators=(",", ":")).encode
-_compact_sorted = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _line(p: Principal) -> bytes:
@@ -204,7 +200,7 @@ class JsonPrincipalStore(PrincipalStore):
         self._lines = 0  # newlines in those bytes
         try:
             with open(path, "rb") as fh:
-                self._read(fh)
+                self._read(fh.fileno())
         except FileNotFoundError:
             pass
 
@@ -212,25 +208,35 @@ class JsonPrincipalStore(PrincipalStore):
         key = (principal.username, principal.tenant)
         if key in self._principals:
             return self._principals[key]
-        with open(self.path, "a+b", opener=_owner_only) as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)  # closing the file unlocks it
-            self._read(fh)
+        # A new store is readable by its owner only.
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o600)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # closing the fd unlocks it
+            end = self._read(fd)
             if key in self._principals:
                 return self._principals[key]
-            if fh.tell() > self._offset:
-                fh.truncate(self._offset)  # a torn tail; O_APPEND writes at the new end
+            if end > self._offset:
+                os.ftruncate(fd, self._offset)  # a torn tail; O_APPEND writes at the new end
             line = _line(principal)
-            fh.write(line)
-            fh.flush()
-            self._offset += len(line)
-            self._lines += 1
-            self._principals[key] = principal
+            written = 0
+            while written < len(line):
+                written += os.write(fd, line[written:])
+        finally:
+            os.close(fd)
+        self._offset += len(line)
+        self._lines += 1
+        self._principals[key] = principal
         return principal
 
-    def _read(self, fh):
-        """Merge the lines appended since the last read, after a legacy array at offset 0."""
-        fh.seek(self._offset)
-        data = fh.read()
+    def _read(self, fd):
+        """Merge the lines appended since the last read, after a legacy array at offset 0;
+        return the offset the read ended at, the end of the file."""
+        data, size = b"", os.fstat(fd).st_size
+        while (at := self._offset + len(data)) < size:  # one pread may return less than asked
+            chunk = os.pread(fd, size - at, at)
+            if not chunk:
+                break
+            data += chunk
         if self._offset == 0 and data.lstrip()[:1] == b"[":
             self._load_array(data)
             data = data[self._offset:]
@@ -245,6 +251,7 @@ class JsonPrincipalStore(PrincipalStore):
                 ) from exc
             self._load(record, f"line {self._lines}")
         self._offset += end
+        return at
 
     def _load_array(self, data):
         """Load the legacy JSON array data starts with; read past it and the whitespace after."""
@@ -326,14 +333,11 @@ class Token(namedtuple("Token", "subject tenant issued_at expires_at signature")
 
 
 def _canonical_body(subject, tenant, issued_at, expires_at) -> bytes:
-    return _compact_sorted(
-        {
-            "subject": subject,
-            "tenant": tenant,
-            "issued_at": issued_at,
-            "expires_at": expires_at,
-        }
-    ).encode("utf-8")
+    """Sorted keys, compact separators, ASCII-escaped strings and float ``repr`` times: what
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` gives for string fields and
+    finite times. A field that is not a string raises ``TypeError``."""
+    return ('{"expires_at":%r,"issued_at":%r,"subject":%s,"tenant":%s}' % (
+        expires_at, issued_at, _quote(subject), _quote(tenant))).encode("ascii")
 
 
 def _sign(key: bytes, body: bytes) -> bytes:
@@ -341,6 +345,10 @@ def _sign(key: bytes, body: bytes) -> bytes:
 
 
 def issue_token(key: bytes, subject: str, tenant: str, lifetime_s: float, now: float) -> Token:
+    if not isinstance(subject, str):
+        raise ValueError("token subject must be a string")
+    if not isinstance(tenant, str):
+        raise ValueError("token tenant must be a string")
     if lifetime_s <= 0:
         raise ValueError("token lifetime must be positive")
     # verify_token re-encodes the times as floats: an int here would not match.
@@ -366,9 +374,10 @@ def verify_token(key: bytes, encoded: str, now: float):
     if len(parts) != 3 or parts[0] != TOKEN_PREFIX:
         return None, "malformed"
     try:
-        body = base64.urlsafe_b64decode(parts[1].encode("ascii"))
-        signature = base64.urlsafe_b64decode(parts[2].encode("ascii"))
-        fields = json.loads(body)
+        encoded_body, encoded_signature = parts[1].encode("ascii"), parts[2].encode("ascii")
+        body = base64.urlsafe_b64decode(encoded_body)
+        signature = base64.urlsafe_b64decode(encoded_signature)
+        fields = json.loads(body.decode("ascii"))
         token = Token(
             subject=fields["subject"],
             tenant=fields["tenant"],
@@ -376,13 +385,16 @@ def verify_token(key: bytes, encoded: str, now: float):
             expires_at=float(fields["expires_at"]),
             signature=signature,
         )
+        canonical = _canonical_body(token.subject, token.tenant, token.issued_at, token.expires_at)
     except (ValueError, KeyError, TypeError):
         return None, "malformed"
     # Base64 padding bits are ignored by the decoder, so non-canonical
     # encodings could alias a valid token; accept canonical form only.
-    if token.encode() != encoded:
+    if (canonical != body or base64.urlsafe_b64encode(body) != encoded_body
+            or base64.urlsafe_b64encode(signature) != encoded_signature):
         return None, "malformed"
-    # json reads NaN and Infinity, and a NaN expiry would never compare as past.
+    # A NaN expiry would never compare as past. ``repr`` spells non-finite times as no
+    # JSON reader does, so the canonical check refuses them too; this one does not rely on it.
     if not (math.isfinite(token.issued_at) and math.isfinite(token.expires_at)):
         return None, "malformed"
     # Sign over the received body bytes: any tamper, even one that would

@@ -1,5 +1,9 @@
+import base64
 import contextlib
+import hashlib
+import hmac
 import json
+import math
 import os
 import random
 import re
@@ -11,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import phenocloud
 from phenocloud import identity as identity_mod
+from phenocloud.cli import dispatch
 from phenocloud.identity import (
     Assertion,
     ConfigError,
@@ -337,6 +342,9 @@ def test_signed_token_with_a_non_finite_time_is_malformed(issued_at, expires_at)
     body = identity_mod._canonical_body("s", "t", issued_at, expires_at)
     token = identity_mod.Token("s", "t", issued_at, expires_at, identity_mod._sign(KEY, body))
     assert verify_token(KEY, token.encode(), now=1e300) == (None, "malformed")
+    encoded = signed(dumps_body({"subject": "s", "tenant": "t", "issued_at": issued_at,
+                                 "expires_at": expires_at}))  # spelled NaN and Infinity
+    assert verify_token(KEY, encoded, now=1e300) == (None, "malformed")
 
 
 def test_every_single_byte_flip_is_rejected():
@@ -389,6 +397,141 @@ def test_token_and_store_bytes_match_json_dumps(subject, tenant, issued_at, expi
     JsonPrincipalStore(str(path)).add(principal)
     assert path.read_bytes() == json.dumps(
         principal._asdict(), separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+def signed(body, key=KEY):
+    """The PCT1 envelope of body and its correct signature, whatever the body holds."""
+    return "PCT1.%s.%s" % (base64.urlsafe_b64encode(body).decode("ascii"),
+                           base64.urlsafe_b64encode(identity_mod._sign(key, body)).decode("ascii"))
+
+
+def dumps_body(fields, **kwargs):
+    return json.dumps(fields, **{"sort_keys": True, "separators": (",", ":"), **kwargs}).encode()
+
+
+@pytest.mark.parametrize("subject,tenant,field", [
+    (5, None, "subject"), ("s", None, "tenant"), (["s"], "t", "subject"), ("s", {"t": 1}, "tenant"),
+    (True, "t", "subject"), ("s", 1.5, "tenant")])
+def test_a_non_string_subject_or_tenant_is_refused_and_never_verifies(subject, tenant, field,
+                                                                      capsys):
+    with pytest.raises(ValueError, match=field):
+        issue_token(KEY, subject, tenant, 60, now=NOW)
+    encoded = signed(dumps_body({"subject": subject, "tenant": tenant, "issued_at": NOW,
+                                 "expires_at": NOW + 60}))
+    assert verify_token(KEY, encoded, now=NOW) == (None, "malformed")
+    code = dispatch(["auth", "token", "verify", "--key", KEY.decode(), "--token", encoded,
+                     "--now", repr(NOW)])
+    assert code == 1 and capsys.readouterr() == ("", "invalid (malformed)\n")
+
+
+CANONICAL = {"subject": "s", "tenant": "t", "issued_at": 1000.0, "expires_at": 1060.0}
+
+
+def with_padding_bits(encoded, part):
+    """encoded with the unused low bits of part's last base64 digit set: it decodes to
+    the same bytes."""
+    parts = encoded.split(".")
+    digits = parts[part].rstrip("=")
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+    unused = {2: 0b1111, 3: 0b11}[len(digits) % 4]
+    last = alphabet[alphabet.index(digits[-1]) | unused]
+    parts[part] = digits[:-1] + last + parts[part][len(digits):]
+    assert base64.urlsafe_b64decode(parts[part]) == base64.urlsafe_b64decode(
+        encoded.split(".")[part])
+    return ".".join(parts)
+
+
+@pytest.mark.parametrize("encoded", [
+    signed(dumps_body(CANONICAL, sort_keys=False)),
+    signed(dumps_body(CANONICAL, separators=(", ", ": "))),
+    signed(dumps_body({**CANONICAL, "issued_at": 1000})),
+    signed(dumps_body(CANONICAL).replace(b'"s"', b'"\\u0073"')),
+    signed(dumps_body({**CANONICAL, "subject": "caf\xe9"}, ensure_ascii=False)),
+    signed(dumps_body(CANONICAL) + b"\n"),
+    signed(dumps_body(CANONICAL).decode().encode("utf-16")),
+    signed(dumps_body({**CANONICAL, "extra": 1})),
+    signed(dumps_body({**CANONICAL, "issued_at": "1000.0"})),
+    signed(dumps_body({**CANONICAL, "expires_at": True})),
+    signed(dumps_body(CANONICAL).replace(b'"issued_at":1000.0',
+                                         b'"issued_at":1000.0,"issued_at":1000.0')),
+    with_padding_bits(signed(dumps_body({**CANONICAL, "tenant": "tt"})), 1),
+    with_padding_bits(signed(dumps_body(CANONICAL)), 2),
+], ids=["reordered-keys", "spaces", "integer-time", "escaped-ascii", "raw-utf8", "trailing-newline",
+        "utf16", "extra-key", "string-time", "boolean-time", "duplicate-key",
+        "body-padding-bits", "signature-padding-bits"])
+def test_a_correctly_signed_non_canonical_token_is_malformed(encoded):
+    assert verify_token(KEY, encoded, now=1030.0) == (None, "malformed")
+
+
+def test_the_canonical_form_of_the_tokens_above_verifies():
+    encoded = signed(dumps_body({**CANONICAL, "tenant": "tt"}))
+    assert all(part.endswith("=") for part in encoded.split(".")[1:])  # room for padding bits
+    assert encoded == issue_token(KEY, "s", "tt", 60, 1000).encode()
+    assert verify_token(KEY, encoded, now=1030.0)[1] is None
+
+
+any_text = st.text(st.characters(blacklist_categories=()), max_size=20)
+any_time = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**30, 10**30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subject=any_text, tenant=any_text, issued_at=any_time, expires_at=any_time)
+def test_canonical_body_is_sorted_compact_ascii_json(subject, tenant, issued_at, expires_at):
+    assert identity_mod._canonical_body(subject, tenant, issued_at, expires_at) == dumps_body(
+        {"subject": subject, "tenant": tenant, "issued_at": issued_at, "expires_at": expires_at})
+
+
+def reference_verify(key, encoded, now):
+    """verify_token as a JSON encoder spells it: the canonical body is json.dumps's, and a
+    subject or tenant that is not a string is malformed."""
+    parts = encoded.split(".")
+    if len(parts) != 3 or parts[0] != "PCT1":
+        return None, "malformed"
+    try:
+        body = base64.urlsafe_b64decode(parts[1].encode("ascii"))
+        signature = base64.urlsafe_b64decode(parts[2].encode("ascii"))
+        fields = json.loads(body)
+        token = Token(fields["subject"], fields["tenant"], float(fields["issued_at"]),
+                      float(fields["expires_at"]), signature)
+    except (ValueError, KeyError, TypeError):
+        return None, "malformed"
+    if not (isinstance(token.subject, str) and isinstance(token.tenant, str)):
+        return None, "malformed"
+    canonical = dumps_body(
+        {"subject": token.subject, "tenant": token.tenant, "issued_at": token.issued_at,
+         "expires_at": token.expires_at})
+    if "PCT1.%s.%s" % (base64.urlsafe_b64encode(canonical).decode("ascii"),
+                       base64.urlsafe_b64encode(signature).decode("ascii")) != encoded:
+        return None, "malformed"
+    if not (math.isfinite(token.issued_at) and math.isfinite(token.expires_at)):
+        return None, "malformed"
+    if not hmac.compare_digest(signature, hmac.new(key, body, hashlib.sha256).digest()):
+        return None, "signature"
+    if not now < token.expires_at:
+        return None, "expired"
+    return token, None
+
+
+B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_="
+
+
+@pytest.mark.parametrize("subject,tenant,lifetime,now", [
+    ("/DC=org/CN=user123456", "tenant7", 3600, NOW), ("caf\xe9 \"q\"\n", "t\U0001f600", 0.5, 1e-7),
+    ("", "", 1e300, -1.0)])
+def test_every_flip_and_one_character_tamper_verifies_as_the_json_reference(subject, tenant,
+                                                                            lifetime, now):
+    encoded = issue_token(KEY, subject, tenant, lifetime, now).encode()
+    assert encoded == signed(dumps_body({"subject": subject, "tenant": tenant, "issued_at": now,
+                                         "expires_at": now + lifetime}))
+    corpus = {encoded}
+    raw = encoded.encode("ascii")
+    for i in range(len(raw)):
+        corpus.update(bytes(raw[:i] + bytes([raw[i] ^ (1 << bit)]) + raw[i + 1:]).decode("latin-1")
+                      for bit in range(8))
+        corpus.update(encoded[:i] + ch + encoded[i + 1:] for ch in B64)
+    for text in sorted(corpus):
+        for at in (now, now + lifetime):
+            assert verify_token(KEY, text, at) == reference_verify(KEY, text, at), text
 
 
 # --- principal store journal -------------------------------------------------
@@ -545,6 +688,40 @@ def test_torn_first_journal_line_after_an_array_is_truncated(tmp_path):
     assert path.read_text() == (
         array + '{"username":"d","tenant":"t","enabled":true,"created_by":"auto"}\n'
     )
+
+
+def test_a_key_already_stored_is_returned_and_a_torn_tail_kept(tmp_path):
+    path = tmp_path / "principals.json"
+    stale, first = JsonPrincipalStore(str(path)), JsonPrincipalStore(str(path))
+    alice = Principal("alice", "t", created_by="auto")
+    assert first.add(alice) is alice
+    torn = path.read_bytes() + b'{"username":"bob","ten'
+    path.write_bytes(torn)
+    assert stale.add(Principal("alice", "t")) == alice  # read under the lock
+    assert first.add(Principal("alice", "t")) is alice  # known before the file is opened
+    assert path.read_bytes() == torn
+    stale.add(Principal("carol", "t"))
+    assert path.read_bytes() == torn[:torn.rindex(b"\n") + 1] + (
+        b'{"username":"carol","tenant":"t","enabled":true,"created_by":"manual"}\n')
+
+
+def test_store_bytes_after_adds_from_two_stores_and_a_torn_tail(tmp_path):
+    path = tmp_path / "principals.json"
+    path.write_text(json.dumps(LEGACY[:1], indent=1) + "\n\n")
+    a, b = JsonPrincipalStore(str(path)), JsonPrincipalStore(str(path))
+    a.add(Principal("caf\xe9", "t\U0001f600", created_by="auto"))
+    b.add(Principal("x\"y", "t", enabled=False))
+    with open(path, "ab") as fh:
+        fh.write(b'{"user')
+    assert a.add(Principal("x\"y", "t")).enabled is False
+    assert a.add(Principal("a", "t", created_by="auto")).created_by == "manual"
+    b.add(Principal("z", "u\n"))
+    assert path.read_bytes() == (
+        b'[\n {\n  "username": "a",\n  "tenant": "t",\n  "enabled": true,\n'
+        b'  "created_by": "manual"\n }\n]\n\n'
+        b'{"username":"caf\\u00e9","tenant":"t\\ud83d\\ude00","enabled":true,"created_by":"auto"}\n'
+        b'{"username":"x\\"y","tenant":"t","enabled":false,"created_by":"manual"}\n'
+        b'{"username":"z","tenant":"u\\n","enabled":true,"created_by":"manual"}\n')
 
 
 def test_created_only_when_this_call_wrote_the_principal(tmp_path):

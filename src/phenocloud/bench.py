@@ -5,8 +5,7 @@ and records per-process real/user/sys seconds (the measurement model of
 GNU time: wall clock around the process, CPU split from the OS's
 child-process resource accounting).  The analyzer side is pure arithmetic
 over saved runs: slowest/fastest process, system-time percentage,
-degradation against a baseline, and speedup curves.  Reference timing
-tables for virtual and physical machines ship as JSON fixtures.
+degradation against a baseline, and speedup curves.
 """
 
 from __future__ import annotations
@@ -213,35 +212,6 @@ def run_concurrent(workload: Workload, processes: int) -> BenchRun:
         failed=bool(failures) or any(status != 0 for status, _ in finished),
         errors=tuple(failures),
     )
-
-
-# --- reference fixtures -------------------------------------------------------
-
-FIXTURE_FILES = (
-    "timings_vm_ht_single.json",
-    "timings_vm_nht_single.json",
-    "timings_physical_single.json",
-    "timings_vm_ht_multi.json",
-    "timings_physical_multi.json",
-)
-
-
-def load_fixture_runs(names=FIXTURE_FILES) -> list:
-    """Load the shipped reference timing tables as BenchRun objects."""
-    from importlib import resources
-
-    runs = []
-    for name in names:
-        text = resources.files("phenocloud.fixtures").joinpath(name).read_text()
-        runs.extend(BenchRun.from_dict(raw) for raw in json.loads(text))
-    return runs
-
-
-def find_run(runs, label: str, phase: str) -> BenchRun:
-    for run in runs:
-        if run.label == label and run.phase == phase:
-            return run
-    raise BenchError(f"no run labelled {label!r} with phase {phase!r}")
 
 
 class BenchReport(namedtuple("BenchReport", "run_label phase max_record min_record sys_pct_max "

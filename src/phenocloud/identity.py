@@ -349,6 +349,11 @@ def issue_token(key: bytes, subject: str, tenant: str, lifetime_s: float, now: f
         raise ValueError("token subject must be a string")
     if not isinstance(tenant, str):
         raise ValueError("token tenant must be a string")
+    try:  # json.loads would join an escaped surrogate pair into one other character
+        subject.encode(), tenant.encode()
+    except UnicodeEncodeError as exc:
+        name = "subject" if exc.object == subject else "tenant"
+        raise ValueError(f"token {name} must not contain a surrogate") from None
     if lifetime_s <= 0:
         raise ValueError("token lifetime must be positive")
     # verify_token re-encodes the times as floats: an int here would not match.

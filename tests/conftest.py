@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from phenocloud.bench import BenchRun
 from phenocloud.catalog import parse_catalog
 
 # The FormCalc sample entry, verbatim: two versions, the first overriding
@@ -63,3 +65,17 @@ def make_catalog(deps: dict, versions=("1.0",)):
         for name, dep_list in deps.items()
     }
     return parse_catalog(json.dumps(doc))
+
+
+def load_fixture_runs():
+    """Every run of the paper's timing tables (virtual against physical machines, with and
+    without hyperthreading; one JSON array of runs per file) as BenchRun objects."""
+    tables = sorted((Path(__file__).parent / "paper_tables").glob("*.json"))
+    return [BenchRun.from_dict(raw) for path in tables for raw in json.loads(path.read_text())]
+
+
+def find_run(runs, label, phase):
+    for run in runs:
+        if run.label == label and run.phase == phase:
+            return run
+    raise LookupError(f"no run labelled {label!r} with phase {phase!r}")

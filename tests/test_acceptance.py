@@ -13,8 +13,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import make_catalog
-from phenocloud.bench import find_run, load_fixture_runs, sys_pct, degradation_pct
+from conftest import find_run, load_fixture_runs, make_catalog
+from phenocloud.bench import sys_pct, degradation_pct
 from phenocloud.catalog import parse_catalog
 from phenocloud.contextualize import Contextualizer
 from phenocloud.errors import CycleError

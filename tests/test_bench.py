@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import phenocloud
+from conftest import find_run, load_fixture_runs
 from phenocloud.bench import (
     BenchError,
     BenchRun,
@@ -17,8 +18,6 @@ from phenocloud.bench import (
     analyze,
     degradation_pct,
     fastest,
-    find_run,
-    load_fixture_runs,
     run_concurrent,
     slowest,
     speedup_curve,

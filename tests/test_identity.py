@@ -375,6 +375,27 @@ def test_token_roundtrip_property(subject, tenant, lifetime):
     assert verified.subject == subject and verified.tenant == tenant
 
 
+# Any code point, with surrogates drawn about half the time so that pairs form.
+surrogate_rich_text = st.characters(blacklist_categories=()) | st.characters(
+    min_codepoint=0xD800, max_codepoint=0xDFFF, blacklist_categories=())
+
+
+@settings(max_examples=300, deadline=None)
+@given(subject=st.text(surrogate_rich_text, max_size=30),
+       tenant=st.text(surrogate_rich_text, max_size=15))
+def test_token_roundtrip_or_refusal_over_all_text(subject, tenant):
+    has_surrogate = any("\ud800" <= c <= "\udfff" for c in subject + tenant)
+    try:
+        token = issue_token(KEY, subject, tenant, 60, now=NOW)
+    except ValueError:
+        assert has_surrogate
+        return
+    assert not has_surrogate
+    verified, reason = verify_token(KEY, token.encode(), now=NOW)
+    assert reason is None
+    assert (verified.subject, verified.tenant) == (subject, tenant)
+
+
 def test_token_issued_with_integer_times_verifies():
     token = issue_token(b"k", "s", "t", 60, 1000)
     verified, reason = verify_token(b"k", token.encode(), 1030)
@@ -422,6 +443,26 @@ def test_a_non_string_subject_or_tenant_is_refused_and_never_verifies(subject, t
     code = dispatch(["auth", "token", "verify", "--key", KEY.decode(), "--token", encoded,
                      "--now", repr(NOW)])
     assert code == 1 and capsys.readouterr() == ("", "invalid (malformed)\n")
+
+
+@pytest.mark.parametrize("subject,tenant,field", [
+    ("\ud9ad\udff3", "t", "subject"), ("s", "\ud83d\ude00", "tenant"), ("a\udc80", "t", "subject"),
+    ("s", "t\ud800", "tenant"), ("\udc80", "\udc80", "subject")])
+def test_a_subject_or_tenant_holding_a_surrogate_is_refused(subject, tenant, field):
+    # "\ud9ad\udff3" was signed as two characters and verified as one, "\U0007b7f3".
+    with pytest.raises(ValueError, match=f"^token {field} must not contain a surrogate$"):
+        issue_token(KEY, subject, tenant, 60, now=NOW)
+
+
+def test_cli_subject_from_undecodable_argv_bytes_is_one_error_line():
+    # Python decodes argv with surrogateescape, so the byte 0xff arrives as "\udcff".
+    src = os.path.dirname(os.path.dirname(phenocloud.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phenocloud.cli", "auth", "token", "issue", "--key", "k",
+         "--subject", b"\xff", "--tenant", "t", "--now", "0"],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, b"", b"error: token subject must not contain a surrogate\n")
 
 
 CANONICAL = {"subject": "s", "tenant": "t", "issued_at": 1000.0, "expires_at": 1060.0}

@@ -31,11 +31,13 @@ class ResolvedApp(namedtuple("ResolvedApp", "name version_key effective download
         return self.effective["dependencies"]
 
 
-# An entry as parse_catalog checked it: the application-level fields in
-# OVERRIDABLE_FIELDS order; versions, version_key -> (version_name, field,
-# value, field, value, ...) for the version's overrides; and edges, the
-# dependencies under any version.
-_Checked = namedtuple("_Checked", OVERRIDABLE_FIELDS + ("versions", "edges"))
+# An entry as parse_catalog checked it, a plain tuple: the application-level
+# fields in OVERRIDABLE_FIELDS order; the version keys, in document order; the
+# specs, one (version_name, field, value, field, value, ...) per version key
+# with the version's overrides; and the edges, the dependencies under any
+# version.  It holds no dict and is no tuple subclass, so the collector
+# untracks it within a few passes, once it has untracked the tuples inside.
+DEPENDENCIES, VERSION_KEYS, SPECS, EDGES = 3, 5, 6, 7  # indexes into an entry
 
 
 class Catalog:
@@ -53,22 +55,23 @@ class Catalog:
         return name in self._checked
 
     def checked(self) -> dict:
-        """name -> the application as parse_catalog checked it; read only."""
+        """name -> the application as parse_catalog checked it, a tuple read by
+        DEPENDENCIES, VERSION_KEYS, SPECS and EDGES; read only."""
         return self._checked
 
-    def _app(self, name) -> _Checked:
+    def _app(self, name) -> tuple:
         try:
             return self._checked[name]
         except KeyError:
             raise NotFoundError(f"application {name!r} not in catalog") from None
 
-    def version_keys(self, name):
-        """The application's version keys."""
-        return self._app(name).versions.keys()
+    def version_keys(self, name) -> tuple:
+        """The application's version keys, in document order."""
+        return self._app(name)[VERSION_KEYS]
 
     def edges(self, name) -> tuple:
         """The application's dependencies under any of its versions."""
-        return self._app(name).edges
+        return self._app(name)[EDGES]
 
     def __iter__(self):
         return iter(self._checked)
@@ -77,8 +80,10 @@ class Catalog:
         return len(self._checked)
 
     def _fields(self):
-        # Edges are left out: their order follows the versions', which equality ignores.
-        return {name: app[:-1] for name, app in self._checked.items()}
+        # Versions are compared as a mapping and edges left out: both follow
+        # the versions' order, which equality ignores.
+        return {name: app[:VERSION_KEYS] + (dict(zip(app[VERSION_KEYS], app[SPECS])),)
+                for name, app in self._checked.items()}
 
     def __eq__(self, other):
         return isinstance(other, Catalog) and self._fields() == other._fields()
@@ -87,7 +92,9 @@ class Catalog:
 def collector_paused(fn):
     """fn with the cyclic garbage collector off while it runs, and back on
     after only if it was on when fn was called.  What parsing and planning
-    allocate holds no reference cycle, so a collection there frees nothing."""
+    allocate holds no reference cycle, so a collection there frees nothing.
+    The parsed catalog holds no dict either, so the collections deferred to
+    after a parse untrack it instead of walking it again on every pass."""
     @functools.wraps(fn)
     def paused(*args, **kwargs):
         enabled = gc.isenabled()
@@ -136,7 +143,10 @@ def parse_catalog(text: str) -> Catalog:
     A version whose only keys are version_name and app_version has no
     overrides to walk.  Strings are checked inline, a dependencies list by
     one helper.  Equal names, installers, base URLs and version names are
-    kept as one object, a dependency as the key it names.
+    kept as one object, a dependency as the key it names, and so are equal
+    version key tuples and the spec tuples of entries whose versions
+    override nothing.  Each raw entry is cleared once checked, so the
+    document is freed while the parse runs.
     """
     try:
         raw = json.loads(text)
@@ -151,9 +161,9 @@ def parse_catalog(text: str) -> Catalog:
     # the identity check.
     share = dict(zip(raw, raw)).setdefault
     plain = {}  # version name -> the one spec of the versions that override nothing
+    share_tuple = {}.setdefault  # equal version key tuples, and plain spec tuples, as one
     checked = {}
     names_only = _NAME_KEYS.issuperset
-    new = tuple.__new__  # _Checked's own __new__ is a Python function
     for name, body in raw.items():
         if not isinstance(body, dict):
             raise CatalogError(f"entry {name!r} must be a JSON object")
@@ -166,7 +176,9 @@ def parse_catalog(text: str) -> Catalog:
         if not isinstance(versions, dict):
             raise CatalogError(f"entry {name!r}: 'versions' must be an object")
         overridden = ()  # the versions' dependencies overrides
-        for vk, vraw in versions.items():  # each value becomes its checked tuple
+        specs = []
+        plain_only = True
+        for vk, vraw in versions.items():
             if not isinstance(vraw, dict):
                 raise CatalogError(f"entry {name!r}: version {vk!r} must be an object")
             vname = vraw.get("version_name", "")
@@ -193,7 +205,13 @@ def parse_catalog(text: str) -> Catalog:
                         elif f != "file":  # a file is most often one version's own
                             value = share(value, value)
                         spec += (f, value)
-            versions[vk] = spec
+                plain_only = plain_only and len(spec) == 1
+            specs.append(spec)
+        keys = tuple(versions)
+        keys = share_tuple(keys, keys)
+        specs = tuple(specs)
+        if plain_only:
+            specs = share_tuple(specs, specs)
         # The entry's own fields in OVERRIDABLE_FIELDS order; null is of no
         # field's type, and a file is most often one version's own.
         app_name = body.get("app_name")
@@ -214,7 +232,8 @@ def parse_catalog(text: str) -> Catalog:
             raise _type_error("installer", name)
         installer = share(installer, installer)
         edges = tuple(dict.fromkeys(chain(deps, *overridden))) if overridden else deps
-        checked[name] = new(_Checked, (app_name, base_url, file, deps, installer, versions, edges))
+        checked[name] = (app_name, base_url, file, deps, installer, keys, specs, edges)
+        body.clear()
     return Catalog(checked)
 
 
@@ -227,7 +246,7 @@ def validate_catalog(catalog: Catalog):
     """
     checked = catalog._checked
     for name, app in checked.items():
-        for dep in app.edges:
+        for dep in app[EDGES]:
             if dep not in checked:
                 raise CatalogError(f"entry {name!r}: dependency {dep!r} not in catalog")
 
@@ -240,7 +259,7 @@ def serialize_catalog(catalog: Catalog) -> str:
         body = {f: value for f, value in zip(OVERRIDABLE_FIELDS, app) if value not in (None, ())}
         body["versions"] = {
             vk: {"version_name": spec[0], **dict(zip(spec[1::2], spec[2::2]))}
-            for vk, spec in app.versions.items()
+            for vk, spec in zip(app[VERSION_KEYS], app[SPECS])
         }
         out[name] = body
     return json.dumps(out, indent=2, sort_keys=True)
@@ -258,12 +277,13 @@ def join_url(base_url: str | None, filename: str | None) -> str | None:
 def effective_version(catalog: Catalog, name: str, version_key: str) -> ResolvedApp:
     """Merge an application's defaults with one version's overrides."""
     try:
-        app_name, base_url, file, dependencies, installer, versions, _ = catalog._checked[name]
+        app_name, base_url, file, dependencies, installer, keys, specs, _ = catalog._checked[name]
     except KeyError:
         raise NotFoundError(f"application {name!r} not in catalog") from None
-    spec = versions.get(version_key)
-    if spec is None:
-        raise NotFoundError(f"application {name!r} has no version {version_key!r}")
+    try:
+        spec = specs[keys.index(version_key)]
+    except ValueError:
+        raise NotFoundError(f"application {name!r} has no version {version_key!r}") from None
     effective = {"app_name": app_name, "base_url": base_url, "file": file,
                  "dependencies": dependencies, "installer": installer, "version_name": spec[0]}
     if len(spec) > 1:

@@ -391,6 +391,7 @@ def verify_token(key: bytes, encoded: str, now: float):
             signature=signature,
         )
         canonical = _canonical_body(token.subject, token.tenant, token.issued_at, token.expires_at)
+        token.subject.encode(), token.tenant.encode()  # a surrogate, as issue_token refuses
     except (ValueError, KeyError, TypeError):
         return None, "malformed"
     # Base64 padding bits are ignored by the decoder, so non-canonical

@@ -18,7 +18,8 @@ import math
 from heapq import heapify, heappop, heappush
 from collections import defaultdict, namedtuple
 
-from phenocloud.catalog import Catalog, collector_paused, effective_version
+from phenocloud.catalog import (
+    DEPENDENCIES, SPECS, VERSION_KEYS, Catalog, collector_paused, effective_version)
 from phenocloud.errors import CycleError, DanglingDependencyError, NotFoundError
 
 
@@ -44,7 +45,7 @@ def _select_versions(catalog: Catalog, request: dict):
         app = checked.get(name)
         if app is None:
             raise NotFoundError(f"requested application {name!r} not in catalog")
-        if version_key not in app.versions:
+        if version_key not in app[VERSION_KEYS]:
             raise NotFoundError(
                 f"requested version {version_key!r} of {name!r} does not exist"
             )
@@ -54,8 +55,10 @@ def _select_versions(catalog: Catalog, request: dict):
     edges = {}
     while stack:
         name, app, version_key = stack.pop()
-        spec = app.versions[version_key]  # (version_name, field, value, ...)
-        deps = app.dependencies
+        keys = app[VERSION_KEYS]
+        # (version_name, field, value, ...); a dependency's key is most often the only one
+        spec = app[SPECS][0 if keys[0] is version_key else keys.index(version_key)]
+        deps = app[DEPENDENCIES]
         if len(spec) > 1:
             # Only field names are compared: a value may be the string "dependencies".
             for i in range(1, len(spec), 2):
@@ -70,7 +73,7 @@ def _select_versions(catalog: Catalog, request: dict):
                     raise DanglingDependencyError(
                         f"{name!r} depends on {dep!r}, which is not in the catalog"
                     )
-                dep_key = selected[dep] = max(dep_app.versions)
+                dep_key = selected[dep] = max(dep_app[VERSION_KEYS])
                 stack.append((dep, dep_app, dep_key))
     return selected, edges
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 
@@ -6,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from conftest import FEYNHIGGS_ENTRY
 from phenocloud.catalog import (
+    SPECS,
+    VERSION_KEYS,
     effective_version,
     join_url,
     parse_catalog,
@@ -291,17 +294,21 @@ def test_parsed_catalog_keeps_one_object_per_distinct_value():
     for app in merged:
         if app.effective["version_name"] == app.version_key:
             assert app.effective["version_name"] is app.version_key
-    plain = [spec for app in catalog._checked.values() for spec in app.versions.values()
+    plain = [spec for app in catalog.checked().values() for spec in app[SPECS]
              if len(spec) == 1]
     assert sorted(plain) == [("1.0",)] * 3 + [("2.0",)] + [("pretty",)]
     assert _one_object_per_value(plain)
 
 
-def test_parsed_chain_retains_under_four_times_its_text():
-    names = ["c%05d" % i for i in range(2000)]
-    text = json.dumps({name: {"installer": "install.sh", "dependencies": names[i + 1:i + 2],
+def chain_text(n):
+    names = ["c%05d" % i for i in range(n)]
+    return json.dumps({name: {"installer": "install.sh", "dependencies": names[i + 1:i + 2],
                               "versions": {"1.0": {"version_name": "1.0"}}}
                        for i, name in enumerate(names)}, sort_keys=True)
+
+
+def test_parsed_chain_retains_under_two_and_a_half_times_its_text():
+    text = chain_text(2000)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -309,7 +316,32 @@ def test_parsed_chain_retains_under_four_times_its_text():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(catalog) == len(names)
-    # 3.7 on CPython 3.11; a copy of each dependency name, installer or plain spec
-    # would each take it above 4.
-    assert retained < 4 * len(text)
+    assert len(catalog) == 2000
+    # 2.0-2.2 on CPython 3.10-3.13; a dict per entry, or a copy of each version key
+    # tuple or plain spec tuple, would each take it above 2.5.
+    assert retained < 2.5 * len(text)
+
+
+def test_the_collector_untracks_every_parsed_entry():
+    doc = json.loads(chain_text(50))
+    doc["c00000"]["versions"]["2.0"] = {"file": "f", "dependencies": ["c00007"], "installer": "y"}
+    doc["c00001"].update(app_name="suite", base_url="http://h/", file="g")
+    catalog = parse_catalog(json.dumps(doc))
+    assert all(type(app) is tuple for app in catalog.checked().values())
+    # CPython untracks a tuple once its items are, and meets an entry before the tuples it
+    # holds: entry, specs, spec and dependencies take one collection each.
+    for _ in range(4):
+        gc.collect()
+    assert not any(gc.is_tracked(app) for app in catalog.checked().values())
+
+
+def test_equal_version_key_tuples_and_plain_spec_tuples_are_one_object():
+    doc = {name: {"installer": "x.sh", "versions": {"1.0": {}, "2.0": {"app_version": "two"}}}
+           for name in ("A", "B", "C")}
+    doc["B"]["versions"]["2.0"]["file"] = "b.tgz"  # overrides: B's specs are its own
+    doc["D"] = {"installer": "x.sh", "versions": {"2.0": {}, "1.0": {}}}
+    apps = parse_catalog(json.dumps(doc)).checked()
+    assert apps["A"][VERSION_KEYS] is apps["B"][VERSION_KEYS] is apps["C"][VERSION_KEYS]
+    assert apps["A"][VERSION_KEYS] == ("1.0", "2.0") and apps["D"][VERSION_KEYS] == ("2.0", "1.0")
+    assert apps["A"][SPECS] is apps["C"][SPECS] and apps["A"][SPECS] == (("1.0",), ("two",))
+    assert apps["B"][SPECS] == (("1.0",), ("two", "file", "b.tgz"))

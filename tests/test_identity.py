@@ -385,6 +385,17 @@ surrogate_rich_text = st.characters(blacklist_categories=()) | st.characters(
        tenant=st.text(surrogate_rich_text, max_size=15))
 def test_token_roundtrip_or_refusal_over_all_text(subject, tenant):
     has_surrogate = any("\ud800" <= c <= "\udfff" for c in subject + tenant)
+    # Signed as issue_token signed before it refused surrogates: json.dumps's body.
+    encoded = signed(dumps_body({"subject": subject, "tenant": tenant, "issued_at": NOW,
+                                 "expires_at": NOW + 60}))
+    verified, reason = verify_token(KEY, encoded, now=NOW)
+    if not has_surrogate:
+        assert reason is None and (verified.subject, verified.tenant) == (subject, tenant)
+    elif reason is None:
+        # An escaped pair reads as the one character it encodes, whose token is these bytes.
+        assert issue_token(KEY, verified.subject, verified.tenant, 60, now=NOW).encode() == encoded
+    else:
+        assert reason == "malformed"
     try:
         token = issue_token(KEY, subject, tenant, 60, now=NOW)
     except ValueError:
@@ -452,6 +463,17 @@ def test_a_subject_or_tenant_holding_a_surrogate_is_refused(subject, tenant, fie
     # "\ud9ad\udff3" was signed as two characters and verified as one, "\U0007b7f3".
     with pytest.raises(ValueError, match=f"^token {field} must not contain a surrogate$"):
         issue_token(KEY, subject, tenant, 60, now=NOW)
+
+
+@pytest.mark.parametrize("subject,tenant", [
+    ("\udc80", "t"), ("s", "a\ud800"), ("\udff3\ud9ad", "t"), ("\ud9ad", "\udff3")])
+def test_a_signed_token_holding_a_surrogate_is_malformed(subject, tenant, capsys):
+    encoded = signed(dumps_body({"subject": subject, "tenant": tenant, "issued_at": NOW,
+                                 "expires_at": NOW + 60}))
+    assert verify_token(KEY, encoded, now=NOW) == (None, "malformed")
+    code = dispatch(["auth", "token", "verify", "--key", KEY.decode(), "--token", encoded,
+                     "--now", repr(NOW)])
+    assert code == 1 and capsys.readouterr() == ("", "invalid (malformed)\n")
 
 
 def test_cli_subject_from_undecodable_argv_bytes_is_one_error_line():
@@ -524,7 +546,7 @@ def test_canonical_body_is_sorted_compact_ascii_json(subject, tenant, issued_at,
 
 def reference_verify(key, encoded, now):
     """verify_token as a JSON encoder spells it: the canonical body is json.dumps's, and a
-    subject or tenant that is not a string is malformed."""
+    subject or tenant that is not a string, or holds a surrogate, is malformed."""
     parts = encoded.split(".")
     if len(parts) != 3 or parts[0] != "PCT1":
         return None, "malformed"
@@ -537,6 +559,8 @@ def reference_verify(key, encoded, now):
     except (ValueError, KeyError, TypeError):
         return None, "malformed"
     if not (isinstance(token.subject, str) and isinstance(token.tenant, str)):
+        return None, "malformed"
+    if re.search("[\ud800-\udfff]", token.subject + token.tenant):
         return None, "malformed"
     canonical = dumps_body(
         {"subject": token.subject, "tenant": token.tenant, "issued_at": token.issued_at,

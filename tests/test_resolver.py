@@ -84,6 +84,15 @@ def test_unknown_app_and_version(feyn_catalog):
         resolve(feyn_catalog, {"FormCalc": "0.0"})
 
 
+def test_an_unhashable_requested_version_is_not_found(feyn_catalog):
+    # Version keys are a tuple compared by equality, not a dict's keys: a list is
+    # no version key, rather than an unhashable one (TypeError).
+    with pytest.raises(NotFoundError, match=r"^requested version \['7.4'\] of 'FormCalc' does not"):
+        resolve(feyn_catalog, {"FormCalc": ["7.4"]})
+    with pytest.raises(NotFoundError, match=r"^application 'FormCalc' has no version \['7.4'\]$"):
+        effective_version(feyn_catalog, "FormCalc", ["7.4"])
+
+
 def test_dangling_dependency(formcalc_fragment_text):
     from phenocloud.catalog import parse_catalog
 

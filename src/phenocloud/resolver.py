@@ -8,8 +8,9 @@ here recurses, so dependency chains of any depth are handled.
 `resolve` selects versions and orders the names on the catalog's checked
 form, and builds a step record (effective_version) only for each step of a
 plan it returns: a request that meets a cycle builds none.  Like
-parse_catalog, it runs with the cyclic garbage collector paused: neither
-allocates reference cycles, so a collection there would free nothing.
+parse_catalog, it and `check_cycles` run with the cyclic garbage collector
+paused: none of them allocates reference cycles, so a collection there
+would free nothing.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from __future__ import annotations
 import math
 from heapq import heapify, heappop, heappush
 from collections import defaultdict, namedtuple
+from itertools import compress
+from operator import itemgetter, not_
 
 from phenocloud.catalog import (
-    DEPENDENCIES, SPECS, VERSION_KEYS, Catalog, collector_paused, effective_version)
+    DEPENDENCIES, EDGES, SPECS, VERSION_KEYS, Catalog, collector_paused, effective_version)
 from phenocloud.errors import CycleError, DanglingDependencyError, NotFoundError
 
 
@@ -36,7 +39,8 @@ def _select_versions(catalog: Catalog, request: dict):
     request, each once: (name -> version_key, name -> its dependencies).
 
     Explicitly requested versions win over the default-version rule:
-    dependencies carry no version, so they get the greatest version key.
+    dependencies carry no version, so they get the greatest version key
+    compared as a string, not as a version: of "9.1" and "10.0", "9.1".
     """
     checked = catalog.checked()
     selected = {}
@@ -136,15 +140,18 @@ def _cyclic_components(succ, nodes) -> list:
         for nxt in succ[node]:
             if nxt in indegree:
                 indegree[nxt] += 1
-    peel = [node for node, deg in indegree.items() if deg == 0]
+    peel = list(compress(indegree, map(not_, indegree.values())))
     while peel:
         for nxt in succ[peel.pop()]:
-            if nxt in indegree:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
+            # None for a node outside `nodes`; a counted node reads at least
+            # 1 up to its last incoming edge.
+            deg = indegree.get(nxt)
+            if deg:
+                indegree[nxt] = deg - 1
+                if deg == 1:
                     peel.append(nxt)
     # Dicts iterate in insertion order, not hash order, so passes stay local.
-    rest = {node: None for node, deg in indegree.items() if deg}
+    rest = dict.fromkeys(compress(indegree, indegree.values()))
     return [
         c for c in _components(succ, rest) if len(c) > 1 or c[0] in succ[c[0]]
     ]
@@ -181,12 +188,15 @@ def _circuits(succ, anchor, members):
             if closed.pop():
                 if closed:
                     closed[-1] = True
-                release = [node]
-                while release:
-                    freed = release.pop()
-                    if freed in blocked:
-                        blocked.discard(freed)
-                        release.extend(blocked_by.pop(freed, ()))
+                if node in blocked_by:
+                    release = [node]
+                    while release:
+                        freed = release.pop()
+                        if freed in blocked:
+                            blocked.discard(freed)
+                            release.extend(blocked_by.pop(freed, ()))
+                else:  # nothing waits on it
+                    blocked.discard(node)
             else:
                 for nxt in succ[node]:
                     if nxt in members:
@@ -248,6 +258,7 @@ def resolve(catalog: Catalog, request: dict) -> InstallPlan:
     return InstallPlan(tuple(effective_version(catalog, name, selected[name]) for name in order))
 
 
+@collector_paused
 def check_cycles(catalog: Catalog) -> list:
     """Return every elementary dependency cycle in the catalog.
 
@@ -258,18 +269,26 @@ def check_cycles(catalog: Catalog) -> list:
     Anchors ascend; under one anchor, cycles come in depth-first order
     over sorted dependencies.  Empty list iff the catalog's dependency
     graph is acyclic; as nodes no cycle can pass through are peeled
-    before Tarjan, an acyclic graph costs one Kahn pass and no SCC pass.
+    before Tarjan, an acyclic graph costs one Kahn pass and no SCC pass,
+    and sorts nothing.
     """
-    succ = {}
-    for name in catalog:
-        deps = catalog.edges(name)
-        # Dependencies outside the catalog are skipped where they are met.
-        succ[name] = sorted(set(deps)) if len(deps) > 1 else deps
+    checked = catalog.checked()
+    # Dependencies outside the catalog are skipped where they are met.
+    succ = dict(zip(checked, map(itemgetter(EDGES), checked.values())))
+    components = _cyclic_components(succ, succ)
+    # Which nodes the peel and Tarjan keep does not depend on successor
+    # order, and both tolerate repeats; only Johnson's search follows that
+    # order, so only the members of a cyclic component get sorted lists.
+    for component in components:
+        for node in component:
+            deps = succ[node]
+            if len(deps) > 1:
+                succ[node] = sorted(set(deps))
     # Cycles anchored at a component's smallest node lie inside that
     # component; the rest lie in the components of what is left without it.
     # Components are disjoint, so popping smallest anchors first keeps the
     # anchors in ascending order.
-    heap = [(min(c), c) for c in _cyclic_components(succ, succ)]
+    heap = [(min(c), c) for c in components]
     heapify(heap)
     cycles = []
     while heap:

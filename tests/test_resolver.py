@@ -118,6 +118,16 @@ def test_dependency_gets_greatest_version():
     assert by_name["B"].version_key == "1.0"
 
 
+def test_dependency_default_version_compares_keys_as_strings():
+    # "9.1" > "10.0" as strings: the default rule is not version order.
+    catalog = parse_catalog(json.dumps({
+        "A": {"installer": "i.sh", "dependencies": ["B"], "versions": {"1": {}}},
+        "B": {"installer": "i.sh", "versions": {"9.1": {}, "10.0": {}}},
+    }))
+    plan = resolve(catalog, {"A": "1"})
+    assert [(s.name, s.version_key) for s in plan.steps] == [("B", "9.1"), ("A", "1")]
+
+
 def test_requested_version_wins_over_default_rule():
     catalog = make_catalog({"A": [], "B": ["A"]}, versions=("1.0", "2.0"))
     plan = resolve(catalog, {"B": "2.0", "A": "1.0"})
@@ -276,6 +286,45 @@ def test_check_cycles_deep_cyclic_chain():
     assert check_cycles(make_catalog(deps)) == [names + [names[0]]]
 
 
+def test_check_cycles_deep_ring_with_a_chord():
+    # c05000 -> c00000 closes a short cycle inside the 10k ring; it is
+    # listed first, as c05000's sorted (and listed) dependencies put it first.
+    deps = chain_deps(cyclic=True)
+    deps["c05000"] = ["c00000", "c05001"]
+    names = sorted(deps)
+    short = names[:5001] + [names[0]]
+    catalog = make_catalog(deps)
+    assert check_cycles(catalog) == [short, names + [names[0]]]
+    with pytest.raises(CycleError) as err:
+        resolve(catalog, {"c00000": "1.0"})
+    assert err.value.cycle == short
+
+
+def test_check_cycles_deep_figure_eight():
+    # Two 5k rings that share only their smallest node.
+    lower = ["f00000"] + ["g%05d" % i for i in range(1, 5000)]
+    upper = ["f00000"] + ["h%05d" % i for i in range(1, 5000)]
+    deps = {name: [nxt] for ring in (lower, upper) for name, nxt in zip(ring[1:], ring[2:])}
+    deps["f00000"] = [lower[1], upper[1]]
+    deps[lower[-1]] = deps[upper[-1]] = ["f00000"]
+    catalog = make_catalog(deps)
+    assert check_cycles(catalog) == [lower + ["f00000"], upper + ["f00000"]]
+    with pytest.raises(CycleError) as err:
+        resolve(catalog, {"f00000": "1.0"})
+    assert err.value.cycle == lower + ["f00000"]
+
+
+def test_check_cycles_lists_paths_in_sorted_dependency_order():
+    # The ring's members list their dependencies out of order, with X outside
+    # it; X, an acyclic app, lists its own unsorted and with a repeat.
+    deps = {"R1": ["X", "R3", "R2"], "R2": ["R3", "R1"], "R3": ["R1", "X"],
+            "X": ["Z", "Y", "Z"], "Y": [], "Z": ["Y"]}
+    catalog = make_catalog(deps)
+    cycles = check_cycles(catalog)
+    assert cycles == [["R1", "R2", "R1"], ["R1", "R2", "R3", "R1"], ["R1", "R3", "R1"]]
+    assert cycles == reference_check_cycles(catalog)
+
+
 def test_resolve_deep_acyclic_chain():
     deps = chain_deps(cyclic=False)
     plan = resolve(make_catalog(deps), {"c00000": "1.0"})
@@ -344,6 +393,8 @@ _GC_CATALOGS = {
                  NotFoundError, id="resolve-NotFoundError"),
     pytest.param(lambda: resolve(_GC_CATALOGS["dangling"], {"A": "1.0"}),
                  DanglingDependencyError, id="resolve-DanglingDependencyError"),
+    pytest.param(lambda: check_cycles(_GC_CATALOGS["acyclic"]), None, id="check_cycles-acyclic"),
+    pytest.param(lambda: check_cycles(_GC_CATALOGS["cyclic"]), None, id="check_cycles-cyclic"),
 ])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_collector_state_is_kept_on_every_exit(call, error, enabled):
@@ -376,6 +427,20 @@ def test_parse_catalog_runs_with_the_collector_paused(monkeypatch):
     assert gc.isenabled()
     parse_catalog('{"A": {"installer": "i.sh", "dependencies": [], "versions": {"1": {}}}}')
     assert states == [False] and gc.isenabled()
+
+
+def test_check_cycles_runs_with_the_collector_paused(monkeypatch):
+    states = []
+
+    def components(*args):
+        states.append(gc.isenabled())
+        return components_orig(*args)
+
+    components_orig = resolver._components
+    monkeypatch.setattr(resolver, "_components", components)
+    assert gc.isenabled()
+    assert check_cycles(_GC_CATALOGS["cyclic"]) == [["A", "B", "A"]]
+    assert states and not any(states) and gc.isenabled()
 
 
 # --- check_cycles against the anchored-DFS enumerator --------------------------

@@ -13,7 +13,7 @@ import os
 import sys
 import time
 
-from phenocloud.errors import PhenocloudError
+from phenocloud.errors import PhenocloudError, replace_file
 
 CONFIG_ENV = "PHENO_CONFIG"
 CONFIG_KEYS = {  # PHENO_CONFIG key -> the flag it fills in when the flag is absent
@@ -254,8 +254,7 @@ def cmd_bench_run(args):
     run = bench_mod.run_concurrent(workload, args.processes)
     text = run.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        replace_file(args.out, [(text + "\n").encode()])
     print(text)
     return 0 if not run.failed else 1
 
@@ -296,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="phenocloud",
         description="Catalog contextualization, identity mapping, parameter scans and benchmarking",
     )
-    parser.add_argument("-v", "--verbose", action="count", default=0)
     top = parser.add_subparsers(dest="group", required=True)
 
     ctx = top.add_parser("ctx", help="catalog-driven contextualization")
@@ -381,9 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.verbose:
-        import logging
-        logging.basicConfig(level=logging.DEBUG, format="%(levelname)s %(name)s: %(message)s")
     try:
         # Fill only flags this command has ("" otherwise) and the caller left out.
         for key, value in load_global_config().items():

@@ -11,14 +11,13 @@ real run does, but touches nothing.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import time
 from collections import namedtuple
 
 from phenocloud.catalog import Catalog
-from phenocloud.errors import PhenocloudError
+from phenocloud.errors import PhenocloudError, replace_file
 from phenocloud.resolver import InstallPlan, resolve
 
 URL_TIMEOUT_S = 60.0  # per blocking socket operation of a metadata or archive fetch
@@ -126,20 +125,6 @@ def fetch_metadata(source: MetadataSource) -> dict:
     return payload
 
 
-@contextlib.contextmanager
-def _replacing(dest):
-    """Yield a binary temp file beside dest that replaces dest only if the block succeeds."""
-    import tempfile
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(dest), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as out:
-            yield out
-        os.replace(tmp, dest)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _download(url: str, dest: str) -> str:
     """Fetch url into dest unless dest exists; returns "cached" or "downloaded".
 
@@ -149,12 +134,8 @@ def _download(url: str, dest: str) -> str:
         return "cached"
     import urllib.request
     try:
-        with urllib.request.urlopen(url, timeout=URL_TIMEOUT_S) as resp, _replacing(dest) as out:
-            while True:
-                chunk = resp.read(1 << 16)
-                if not chunk:
-                    break
-                out.write(chunk)
+        with urllib.request.urlopen(url, timeout=URL_TIMEOUT_S) as resp:
+            replace_file(dest, iter(lambda: resp.read(1 << 16), b""))
     except OSError as exc:
         raise DownloadError(f"download of {url} failed: {exc}") from exc
     return "downloaded"

@@ -1,4 +1,7 @@
-"""Shared exception hierarchy, and the wording of a record's key errors."""
+"""Shared exception hierarchy, the wording of a record's key errors, and the
+one way the package writes a file."""
+
+import os
 
 
 class PhenocloudError(Exception):
@@ -39,3 +42,24 @@ def key_problem(record_type, raw):
         if key not in fields:
             return f"unknown key {key!r}"
     return None
+
+
+def replace_file(dest, chunks):
+    """Write the byte strings of chunks to a new, uniquely named file beside
+    dest, opened exclusively, and rename it over dest: dest holds its old
+    bytes or all of the new ones.  The file gets open()'s mode (0o666 &
+    ~umask); on any exception it is removed.  No fsync: a power loss may
+    lose the last writes.  A dest that exists and is not a regular file
+    (/dev/null, a FIFO) is refused before anything is created.
+    """
+    if os.path.exists(dest) and not os.path.isfile(dest):
+        raise PhenocloudError(f"{dest} exists and is not a regular file")
+    tmp = f"{dest}.{os.urandom(6).hex()}.tmp"
+    out = open(tmp, "xb")  # before the try: a clash must not unlink another writer's file
+    try:
+        with out:
+            out.writelines(chunks)
+        os.replace(tmp, dest)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -20,7 +20,7 @@ import sys
 import zlib
 from collections import namedtuple
 
-from phenocloud.errors import PhenocloudError
+from phenocloud.errors import PhenocloudError, replace_file
 
 STATUS_ALLOWED = "ALLOWED"
 STATUS_EXC_LHC = "EXC_LHC"
@@ -244,9 +244,11 @@ def run_scan(
 ) -> str:
     """Evaluate the full grid with `workers` processes and write `out`.
 
-    On success the output replaces `out` in one step.  On any worker
-    failure `out` is removed and the share of each worker that succeeded is
-    written to `<out>.partN` for diagnosis.
+    On success the output replaces `out` whole through `replace_file`, so
+    two scans to one `out` each leave a whole file.  On any worker failure
+    `out` is removed and each surviving share is written the same way to
+    `<out>.partN` for diagnosis; an `out` that is not a regular file is
+    refused with `ScanError` before any worker starts.
 
     Refused with `ValueError` before any worker starts or any file is
     written: an unknown kernel, the command kernel without a command, a
@@ -271,7 +273,6 @@ def run_scan(
     if os.path.exists(out) and not os.path.isfile(out):  # e.g. /dev/null: never replace it
         raise ScanError(f"{out} exists and is not a regular file")
     parts = partition(grid.n_points, min(workers, grid.n_points))
-    tmp = f"{out}.tmp"
     try:
         args = [(grid, part, kernel, work_units, command, timeout_per_point) for part in parts]
         shares = fan_out(_worker, args)
@@ -280,20 +281,15 @@ def run_scan(
             kept = {f"{out}.part{index}": share for index, share in enumerate(shares)
                     if not isinstance(share, WorkerFailure)}
             for path, share in kept.items():
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(share)
+                replace_file(path, [share.encode()])
             raise ScanError(
                 "; ".join(f"worker {f.index} failed: {f.reason}" for f in failures)
                 + (f"; partial files kept: {', '.join(kept)}" if kept else "")
             )
-        with open(tmp, "w", encoding="utf-8") as merged:
-            merged.write(HEADER)
-            merged.writelines(shares)
-        os.replace(tmp, out)
+        replace_file(out, map(str.encode, [HEADER, *shares]))
     except BaseException:
-        # A failed scan leaves neither an earlier result nor a half write.
-        for path in (out, tmp):
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(path)
+        # A failed scan leaves no earlier result; replace_file leaves no half write.
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(out)
         raise
     return out

@@ -2,6 +2,7 @@ import contextlib
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 
@@ -143,6 +144,12 @@ def test_unknown_subcommand_is_usage_error():
     assert err.value.code == 2
 
 
+def test_verbose_flag_is_usage_error():
+    with pytest.raises(SystemExit) as err:
+        dispatch(["-v", "scan", "run", "--steps", "2", "--out", "scan.dat"])
+    assert err.value.code == 2
+
+
 def test_ctx_run_dry_run(catalog_file, metadata_file, tmp_path, capsys):
     root = tmp_path / "root"
     root.mkdir()
@@ -268,6 +275,34 @@ def test_bench_run_and_analyze(tmp_path, capsys):
     assert code == 0
     reports = json.loads(capsys.readouterr().out)
     assert len(reports) == 1 and "sys_pct" in reports[0]
+
+
+def test_bench_run_out_gets_the_mode_open_gives(tmp_path, capsys):
+    out = tmp_path / "run.json"
+    assert dispatch(["bench", "run", "--processes", "1", "--work-units", "1000",
+                     "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    with open(tmp_path / "reference", "w"):
+        pass
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["reference", "run.json"]
+
+
+def test_bench_run_out_that_is_not_a_regular_file_is_refused(tmp_path, capsys):
+    fifo = tmp_path / "run.fifo"
+    os.mkfifo(fifo)
+    # With a reader open, code that writes into the FIFO fails this test
+    # instead of blocking in open().
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code = dispatch(["bench", "run", "--processes", "1", "--work-units", "1000",
+                         "--out", str(fifo)])
+    finally:
+        os.close(reader)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {fifo} exists and is not a regular file\n"
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["run.fifo"]
 
 
 def test_bench_run_children_do_not_read_the_callers_stdin(tmp_path):

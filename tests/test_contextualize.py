@@ -228,6 +228,23 @@ def test_second_run_uses_the_download_cache(tmp_path):
     assert [s.download for s in second.steps] == ["cached"]
 
 
+def test_downloaded_archive_gets_the_mode_open_gives(tmp_path):
+    catalog = catalog_with_archives(tmp_path, {"A": []})
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    write_script(scripts, "A.sh")
+    root = tmp_path / "root"
+    root.mkdir()
+    report = Contextualizer(catalog, scripts_dir=str(scripts), root=str(root)).run({"A": "1.0"})
+    assert [s.download for s in report.steps] == ["downloaded"]
+    (archive,) = (root / "downloads").iterdir()
+    assert archive.read_bytes() == b"payload of A"
+    with open(tmp_path / "reference", "w"):
+        pass
+    assert stat.S_IMODE(archive.stat().st_mode) == stat.S_IMODE(
+        (tmp_path / "reference").stat().st_mode)
+
+
 def test_download_failure_marks_step_failed(tmp_path):
     catalog = catalog_with_archives(tmp_path, {"A": []})
     os.unlink(tmp_path / "archives" / "A.tar.gz")

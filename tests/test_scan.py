@@ -322,6 +322,25 @@ def test_successful_scan_leaves_part_files_of_an_earlier_failure_alone(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.dat", *sorted(earlier)]
 
 
+def test_successful_scan_leaves_a_file_at_the_old_temp_name_alone(tmp_path):
+    # A fixed temp name would let two scans to one out truncate and rename
+    # each other's file; the deterministic form of that race is a file there.
+    other = tmp_path / "scan.dat.tmp"
+    other.write_bytes(b"another scan's half-written output\n")
+    run_scan(SMALL_GRID, workers=2, out=str(tmp_path / "scan.dat"))
+    assert other.read_bytes() == b"another scan's half-written output\n"
+    assert read_lines(tmp_path / "scan.dat") == serial_expectation(SMALL_GRID)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.dat", "scan.dat.tmp"]
+
+
+def test_new_scan_output_gets_the_mode_open_gives(tmp_path):
+    out = tmp_path / "scan.dat"
+    run_scan(SMALL_GRID, workers=1, out=str(out))
+    with open(tmp_path / "reference", "w"):
+        pass
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+
+
 @pytest.mark.parametrize("options,word", [
     *[({"timeout_per_point": t}, "timeout_per_point")
       for t in (0, -1, float("nan"), float("inf"))],
